@@ -55,11 +55,6 @@ let git_commit () =
     | _ -> "unknown"
   with Unix.Unix_error _ | Sys_error _ -> "unknown"
 
-(* surrogate-ranked legs are reported but never part of the identity
-   check (reranking legitimately changes the trajectory); the env knob
-   mirrors the CLI's --no-surrogate *)
-let no_surrogate = Sys.getenv_opt "AUTOMAP_NO_SURROGATE" <> None
-
 type leg = {
   wall : float;
   cands_per_sec : float;
@@ -92,7 +87,7 @@ type app_row = {
   on_ : leg;
   inc : leg;
   bat : leg;
-  sur : leg option;            (* surrogate-ranked batches; None when disabled *)
+  sur : leg;                   (* surrogate-ranked batches *)
   speedup : float;             (* prune on vs. off, both full-replay *)
   incremental_speedup : float; (* incremental vs. the PR 2 baseline  *)
   batched_speedup : float;     (* batched vs. incremental            *)
@@ -131,15 +126,13 @@ let bench_app (app : App.t) machine ~input ~rotations ~min_time =
     t_bat := Float.min !t_bat d;
     spent := !spent +. d;
     last_bat := Some (b, p, k, s);
-    if not no_surrogate then begin
-      let d, b, p, k, s =
-        search_once ~batch:true ~surrogate:true ~prune:true ~incremental:true
-          ~rotations machine g
-      in
-      t_sur := Float.min !t_sur d;
-      spent := !spent +. d;
-      last_sur := Some (b, p, k, s)
-    end
+    let d, b, p, k, s =
+      search_once ~batch:true ~surrogate:true ~prune:true ~incremental:true
+        ~rotations machine g
+    in
+    t_sur := Float.min !t_sur d;
+    spent := !spent +. d;
+    last_sur := Some (b, p, k, s)
   in
   step ();
   while !spent < min_time do
@@ -159,8 +152,8 @@ let bench_app (app : App.t) machine ~input ~rotations ~min_time =
   let off = leg_of !t_off !last_off
   and on_ = leg_of !t_on !last_on
   and inc = leg_of !t_inc !last_inc
-  and bat = leg_of !t_bat !last_bat in
-  let sur = if no_surrogate then None else Some (leg_of !t_sur !last_sur) in
+  and bat = leg_of !t_bat !last_bat
+  and sur = leg_of !t_sur !last_sur in
   (* neither pruning, incremental replay, nor batching may be visible
      to the search's decisions.  Batching folds each neighbour set into
      one engine step, so engine-step counts are only compared between
@@ -202,18 +195,15 @@ let bench_app (app : App.t) machine ~input ~rotations ~min_time =
     (float_of_int inc.st.Evaluator.s_timeline_bytes /. 1024.0)
     bat.st.Evaluator.s_batch_calls bat.st.Evaluator.s_batch_short_circuits
     bat.st.Evaluator.s_bind_hits_shared bat.st.Evaluator.s_bind_hits_private;
-  Option.iter
-    (fun (l : leg) ->
-      Printf.printf
-        "         surrogate %6.2fms (%7.1f cand/s) | %d trained, %d reranks, %d skims \
-         | spearman %s | best %.4g vs exact %.4g\n%!"
-        (1e3 *. l.wall) l.cands_per_sec l.st.Evaluator.s_surrogate_trained
-        l.st.Evaluator.s_surrogate_reranks l.st.Evaluator.s_surrogate_skips
-        (if Float.is_finite l.st.Evaluator.s_spearman then
-           Printf.sprintf "%.3f" l.st.Evaluator.s_spearman
-         else "n/a")
-        l.perf bat.perf)
-    sur;
+  Printf.printf
+    "         surrogate %6.2fms (%7.1f cand/s) | %d trained, %d reranks, %d skims \
+     | spearman %s | best %.4g vs exact %.4g\n%!"
+    (1e3 *. sur.wall) sur.cands_per_sec sur.st.Evaluator.s_surrogate_trained
+    sur.st.Evaluator.s_surrogate_reranks sur.st.Evaluator.s_surrogate_skips
+    (if Float.is_finite sur.st.Evaluator.s_spearman then
+       Printf.sprintf "%.3f" sur.st.Evaluator.s_spearman
+     else "n/a")
+    sur.perf bat.perf;
   { row_app = app.App.app_name; row_input = input; off; on_; inc; bat; sur; speedup;
     incremental_speedup; batched_speedup }
 
@@ -233,19 +223,16 @@ let json_leg l =
     l.st.Evaluator.s_warm_starts
 
 (* the surrogate leg reranks batches, so it is reported — counters,
-   rank quality, final best — but excluded from the identity check;
-   AUTOMAP_NO_SURROGATE stamps the section skipped instead *)
-let json_surrogate = function
-  | None -> {|{"skipped": true}|}
-  | Some l ->
-      Printf.sprintf
-        {|{"skipped": false, "wall": %.5f, "cands_per_sec": %.2f, "perf": %.6e, "engine_steps": %d, "suggested": %d, "surrogate_trained": %d, "surrogate_reranks": %d, "surrogate_skips": %d, "spearman_rank_corr": %s}|}
-        l.wall l.cands_per_sec l.perf l.steps l.st.Evaluator.s_suggested
-        l.st.Evaluator.s_surrogate_trained l.st.Evaluator.s_surrogate_reranks
-        l.st.Evaluator.s_surrogate_skips
-        (if Float.is_finite l.st.Evaluator.s_spearman then
-           Printf.sprintf "%.4f" l.st.Evaluator.s_spearman
-         else "null")
+   rank quality, final best — but excluded from the identity check *)
+let json_surrogate l =
+  Printf.sprintf
+    {|{"wall": %.5f, "cands_per_sec": %.2f, "perf": %.6e, "engine_steps": %d, "suggested": %d, "surrogate_trained": %d, "surrogate_reranks": %d, "surrogate_skips": %d, "spearman_rank_corr": %s}|}
+    l.wall l.cands_per_sec l.perf l.steps l.st.Evaluator.s_suggested
+    l.st.Evaluator.s_surrogate_trained l.st.Evaluator.s_surrogate_reranks
+    l.st.Evaluator.s_surrogate_skips
+    (if Float.is_finite l.st.Evaluator.s_spearman then
+       Printf.sprintf "%.4f" l.st.Evaluator.s_spearman
+     else "null")
 
 (* Symmetry leg: the same CCD search at an equal trial budget with and
    without the PR 9 reduction stack (orbit canonicalization + engine

@@ -17,8 +17,7 @@
    leg ending above the exact leg's final best is a hard failure, the
    same line test_surrogate holds and CI replays on the smoke inputs.
 
-   Results go to stdout and BENCH_surrogaterate.json.  With
-   AUTOMAP_NO_SURROGATE set the whole report is stamped skipped.
+   Results go to stdout and BENCH_surrogaterate.json.
 
    Usage: dune exec bench/surrogaterate.exe [-- --smoke] [-- --out FILE]
      --smoke   Stencil + Pennant only, smaller budget (CI leg)        *)
@@ -41,7 +40,6 @@ let () =
   in
   parse (List.tl (Array.to_list Sys.argv))
 
-let no_surrogate = Sys.getenv_opt "AUTOMAP_NO_SURROGATE" <> None
 let now = Unix.gettimeofday
 
 let git_commit () =
@@ -172,16 +170,6 @@ let json_leg target l =
      else "null")
 
 let () =
-  if no_surrogate then begin
-    let oc = open_out !out_file in
-    Printf.fprintf oc
-      "{\n  \"bench\": \"surrogaterate\",\n  \"commit\": %S,\n  \"skipped\": true\n}\n"
-      (git_commit ());
-    close_out oc;
-    Printf.printf "surrogaterate: AUTOMAP_NO_SURROGATE set, skipped (wrote %s)\n%!"
-      !out_file;
-    exit 0
-  end;
   let apps =
     if !smoke then [ (App.stencil, "500x500"); (App.pennant, "320x90") ]
     else

@@ -119,16 +119,31 @@ let machine_file_arg =
 let seed_arg = Arg.(value & opt int 0 & info [ "seed" ] ~doc:"Random seed.")
 
 let no_symmetry_arg =
-  Arg.(value & flag & info [ "no-symmetry" ] ~doc:"Disable symmetry reduction (on by default): orbit canonicalization of sampled mappings and the engine seen-set that rejects symmetric duplicates of already-evaluated candidates without re-simulating. The AUTOMAP_NO_SYMMETRY environment variable has the same effect. Symmetry changes the search trajectory, so checkpoints only resume under the flag they were written with.")
+  Arg.(value & flag & info [ "no-symmetry" ] ~doc:"Disable symmetry reduction (on by default): orbit canonicalization of sampled mappings and the engine seen-set that rejects symmetric duplicates of already-evaluated candidates without re-simulating. Symmetry changes the search trajectory, so checkpoints only resume under the flag they were written with.")
 
 let no_dominance_arg =
-  Arg.(value & flag & info [ "no-dominance" ] ~doc:"Disable dominance pruning (on by default): processor/memory-kind values the static analysis proves dominated — some surviving value is equal-or-better in every candidate — are dropped from the search domains. The AUTOMAP_NO_DOMINANCE environment variable has the same effect.")
+  Arg.(value & flag & info [ "no-dominance" ] ~doc:"Disable dominance pruning (on by default): processor/memory-kind values the static analysis proves dominated — some surviving value is equal-or-better in every candidate — are dropped from the search domains.")
 
-let symmetry_enabled no_symmetry =
-  (not no_symmetry) && Sys.getenv_opt "AUTOMAP_NO_SYMMETRY" = None
+(* options shared by tune and search *)
+let algo_arg =
+  Arg.(value & opt string "ccd" & info [ "algo" ] ~docv:"ALGO" ~doc:"Search algorithm: ccd, cd, ensemble, random, annealing, portfolio, heft.")
 
-let dominance_enabled no_dominance =
-  (not no_dominance) && Sys.getenv_opt "AUTOMAP_NO_DOMINANCE" = None
+let runs_arg =
+  Arg.(value & opt int 7 & info [ "runs" ] ~doc:"Executions per candidate mapping.")
+
+let budget_arg =
+  Arg.(value & opt (some float) None & info [ "budget" ] ~docv:"SECONDS" ~doc:"Virtual search-time budget.")
+
+let out_arg =
+  Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write the best mapping to FILE.")
+
+let report_best g best output =
+  Printf.printf "best mapping: %s\n" (Report.placement_summary g best);
+  Option.iter
+    (fun file ->
+      write_file file (Codec.to_string g best);
+      Printf.printf "mapping written to %s\n" file)
+    output
 
 let apps_cmd =
   let doc = "List the bundled benchmark applications and their inputs." in
@@ -143,23 +158,11 @@ let apps_cmd =
 
 let tune_cmd =
   let doc = "Search for a fast mapping (offline autotuning, §3.3)." in
-  let algo_arg =
-    Arg.(value & opt string "ccd" & info [ "algo" ] ~docv:"ALGO" ~doc:"Search algorithm: ccd, cd, ensemble, random, annealing, portfolio, heft.")
-  in
   let objective_arg =
     Arg.(value & opt string "time" & info [ "objective" ] ~docv:"OBJ" ~doc:"Metric to minimize: time, energy or edp.")
   in
-  let runs_arg =
-    Arg.(value & opt int 7 & info [ "runs" ] ~doc:"Executions per candidate mapping.")
-  in
   let final_runs_arg =
     Arg.(value & opt int 30 & info [ "final-runs" ] ~doc:"Executions per top-5 mapping in the final re-evaluation.")
-  in
-  let budget_arg =
-    Arg.(value & opt (some float) None & info [ "budget" ] ~docv:"SECONDS" ~doc:"Virtual search-time budget.")
-  in
-  let out_arg =
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write the best mapping to FILE.")
   in
   let extended_arg =
     Arg.(value & flag & info [ "extended" ] ~doc:"Also search the group-task distribution strategy (blocked vs cyclic across nodes).")
@@ -168,7 +171,7 @@ let tune_cmd =
     Arg.(value & opt (some string) None & info [ "db" ] ~docv:"FILE" ~doc:"Profiles-database checkpoint: reloaded before the search if it exists, rewritten afterwards (warm restart across sessions).")
   in
   let no_incremental_arg =
-    Arg.(value & flag & info [ "no-incremental" ] ~doc:"Force full re-simulation of every candidate (disable timeline capture and dirty-cone replay). Results are bit-identical either way; this is a debugging/measurement switch. The AUTOMAP_NO_INCREMENTAL environment variable has the same effect.")
+    Arg.(value & flag & info [ "no-incremental" ] ~doc:"Force full re-simulation of every candidate (disable timeline capture and dirty-cone replay). Results are bit-identical either way; this is a debugging/measurement switch.")
   in
   let run app input nodes cluster graph_file machine_file seed algo objective runs
       final_runs budget output extended db_file no_incremental no_symmetry
@@ -188,13 +191,10 @@ let tune_cmd =
           | Error e -> failwith (Printf.sprintf "%s: %s" f e))
       | _ -> None
     in
-    let incremental =
-      (not no_incremental) && Sys.getenv_opt "AUTOMAP_NO_INCREMENTAL" = None
-    in
     let r =
-      Driver.run ~runs ~final_runs ~seed ?budget ?objective ~extended ~incremental
-        ~symmetry:(symmetry_enabled no_symmetry)
-        ~dominance:(dominance_enabled no_dominance) ?db (algo_of algo) machine g
+      Driver.run ~runs ~final_runs ~seed ?budget ?objective ~extended
+        ~incremental:(not no_incremental) ~symmetry:(not no_symmetry)
+        ~dominance:(not no_dominance) ?db (algo_of algo) machine g
     in
     Option.iter
       (fun f ->
@@ -217,12 +217,7 @@ let tune_cmd =
     Printf.printf "\nsearch: %d suggested, %d evaluated, %d cache hits, %d invalid, %d OOM\n"
       r.Driver.suggested r.Driver.evaluated r.Driver.cache_hits r.Driver.invalid
       r.Driver.oom;
-    Printf.printf "best mapping: %s\n" (Report.placement_summary g r.Driver.best);
-    match output with
-    | None -> ()
-    | Some file ->
-        write_file file (Codec.to_string g r.Driver.best);
-        Printf.printf "mapping written to %s\n" file
+    report_best g r.Driver.best output
   in
   Cmd.v (Cmd.info "tune" ~doc)
     Term.(
@@ -253,15 +248,6 @@ let search_cmd =
     "Resumable budget-aware search through the strategy engine: stream progress \
      events, checkpoint periodically, resume a killed run decision-identically."
   in
-  let algo_arg =
-    Arg.(value & opt string "ccd" & info [ "algo" ] ~docv:"ALGO" ~doc:"Search algorithm: ccd, cd, ensemble, random, annealing, portfolio, heft.")
-  in
-  let runs_arg =
-    Arg.(value & opt int 7 & info [ "runs" ] ~doc:"Executions per candidate mapping.")
-  in
-  let budget_arg =
-    Arg.(value & opt (some float) None & info [ "budget" ] ~docv:"SECONDS" ~doc:"Virtual search-time budget.")
-  in
   let max_trials_arg =
     Arg.(value & opt (some int) None & info [ "max-trials" ] ~docv:"N" ~doc:"Stop after N evaluated proposals (including the start).")
   in
@@ -287,19 +273,16 @@ let search_cmd =
     Arg.(value & flag & info [ "heft-seed" ] ~doc:"Start the search from the HEFT list schedule instead of the runtime-default mapping.")
   in
   let batch_arg =
-    Arg.(value & flag & info [ "batch" ] ~doc:"Evaluate each task's whole neighbour set as one batch (CD/CCD only): scratch setup and the incumbent rebind are amortized across the set and candidates past the first improvement are skipped. Decisions are bit-identical to the sequential search; this is purely a throughput switch.")
+    Arg.(value & flag & info [ "batch" ] ~doc:"Evaluate each task's whole neighbour set as one batch (CD/CCD only): scratch setup and the incumbent rebind are amortized across the set and candidates past the first improvement are skipped. Without a surrogate (--no-surrogate) decisions are bit-identical to the sequential search. With the default surrogate, --batch also reranks each batch best-predicted-first, which changes the order candidates are tried in and so the search trajectory.")
   in
   let batch_min_arg =
     Arg.(value & opt int Descent.default_min_batch & info [ "batch-min" ] ~docv:"N" ~doc:"Minimum candidate-set size for batched evaluation: smaller sets run through the sequential path, whose per-candidate overhead is lower than batch amortization can recover at that size (BENCH_searchrate.json). Decisions are identical either way; 1 always batches.")
   in
   let no_surrogate_arg =
-    Arg.(value & flag & info [ "no-surrogate" ] ~doc:"Disable the online surrogate cost model (trained by default on every exact evaluation; with --batch it also reranks each candidate batch best-predicted-first). The AUTOMAP_NO_SURROGATE environment variable has the same effect.")
+    Arg.(value & flag & info [ "no-surrogate" ] ~doc:"Disable the online surrogate cost model (trained by default on every exact evaluation; with --batch it also reranks each candidate batch best-predicted-first).")
   in
   let surrogate_skim_arg =
     Arg.(value & opt (some int) None & info [ "surrogate-skim" ] ~docv:"K" ~doc:"Simulate only the surrogate's top-K predictions of each candidate batch (CD/CCD only; implies --batch). Unlike plain reranking this can change the search trajectory — the bench gate holds it never-worse at equal trial budgets.")
-  in
-  let out_arg =
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write the best mapping to FILE.")
   in
   let run app input nodes cluster graph_file machine_file seed algo runs budget
       max_trials max_wall progress events_file checkpoint checkpoint_every resume
@@ -334,48 +317,41 @@ let search_cmd =
                (json_escape path));
           if progress then Printf.eprintf "[checkpoint] trial %d -> %s\n%!" trial path
     in
-    let surrogate =
-      (not no_surrogate) && Sys.getenv_opt "AUTOMAP_NO_SURROGATE" = None
-    in
-    let symmetry = symmetry_enabled no_symmetry in
+    let surrogate = not no_surrogate and symmetry = not no_symmetry in
     let r =
       Driver.run ~runs ~seed ?budget ?max_trials ?max_wall ~heft_seed ~batch
         ~min_batch:batch_min ~surrogate ?surrogate_skim ~symmetry
-        ~dominance:(dominance_enabled no_dominance) ~on_event ?checkpoint
-        ~checkpoint_every ?resume_from:resume (algo_of algo) machine g
+        ~dominance:(not no_dominance) ~on_event ?checkpoint ~checkpoint_every
+        ?resume_from:resume (algo_of algo) machine g
     in
     Option.iter close_out events_oc;
+    let st = r.Driver.stats in
     Format.printf "%a@." Driver.pp_result r;
     Printf.printf "engine: %d steps, %d checkpoints written\n" r.Driver.engine_steps
       r.Driver.checkpoints_written;
     if batch then
       Printf.printf "batches: %d evaluated, %d short-circuited past an improvement\n"
-        r.Driver.batch_calls r.Driver.batch_short_circuits;
+        st.Evaluator.s_batch_calls st.Evaluator.s_batch_short_circuits;
     if symmetry then
       Printf.printf "symmetry: %d symmetric duplicates skipped without re-simulation\n"
-        r.Driver.symmetry_skips;
+        st.Evaluator.s_symmetry_skips;
     if progress && batch then
-      Printf.eprintf "[batch] %d batches, %d short-circuits\n%!" r.Driver.batch_calls
-        r.Driver.batch_short_circuits;
+      Printf.eprintf "[batch] %d batches, %d short-circuits\n%!"
+        st.Evaluator.s_batch_calls st.Evaluator.s_batch_short_circuits;
     if surrogate then begin
       Printf.printf
         "surrogate: %d observations, %d batches reranked, %d candidates skimmed%s\n"
-        r.Driver.surrogate_trained r.Driver.surrogate_reranks
-        r.Driver.surrogate_skips
-        (if Float.is_finite r.Driver.spearman then
-           Printf.sprintf ", spearman %.3f" r.Driver.spearman
+        st.Evaluator.s_surrogate_trained st.Evaluator.s_surrogate_reranks
+        st.Evaluator.s_surrogate_skips
+        (if Float.is_finite st.Evaluator.s_spearman then
+           Printf.sprintf ", spearman %.3f" st.Evaluator.s_spearman
          else "");
       if progress then
         Printf.eprintf "[surrogate] %d trained, %d reranks, %d skips\n%!"
-          r.Driver.surrogate_trained r.Driver.surrogate_reranks
-          r.Driver.surrogate_skips
+          st.Evaluator.s_surrogate_trained st.Evaluator.s_surrogate_reranks
+          st.Evaluator.s_surrogate_skips
     end;
-    Printf.printf "best mapping: %s\n" (Report.placement_summary g r.Driver.best);
-    match output with
-    | None -> ()
-    | Some file ->
-        write_file file (Codec.to_string g r.Driver.best);
-        Printf.printf "mapping written to %s\n" file
+    report_best g r.Driver.best output
   in
   Cmd.v (Cmd.info "search" ~doc)
     Term.(
@@ -625,20 +601,32 @@ let request_cmd =
   in
   Cmd.v (Cmd.info "request" ~doc) Term.(const run $ socket_arg $ port_arg $ request_arg)
 
+(* User errors — a bad argument, an unreadable file, a checkpoint that
+   cannot be resumed — print one line and exit 2.  Anything else is a
+   bug and keeps cmdliner's internal-error exit code (125). *)
 let () =
   let doc = "AutoMap: automated mapping of task-based programs" in
   let info = Cmd.info "automap_cli" ~doc in
+  let cmd =
+    Cmd.group info
+      [
+        apps_cmd;
+        analyze_cmd;
+        tune_cmd;
+        search_cmd;
+        compare_cmd;
+        simulate_cmd;
+        profile_cmd;
+        serve_cmd;
+        request_cmd;
+      ]
+  in
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            apps_cmd;
-            analyze_cmd;
-            tune_cmd;
-            search_cmd;
-            compare_cmd;
-            simulate_cmd;
-            profile_cmd;
-            serve_cmd;
-            request_cmd;
-          ]))
+    (match Cmd.eval ~catch:false cmd with
+    | code -> code
+    | exception (Failure msg | Sys_error msg | Driver.Resume_error msg) ->
+        prerr_endline ("automap_cli: " ^ msg);
+        2
+    | exception e ->
+        prerr_endline ("automap_cli: internal error: " ^ Printexc.to_string e);
+        Cmd.Exit.internal_error)

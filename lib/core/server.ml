@@ -305,9 +305,8 @@ let run_slice_inner t j scratch =
         | Some s -> (
             match Profiles_db.load j.jb_graph s with Ok db -> Some db | Error _ -> None)
       in
-      Ok
-        (Slice.start ~scratch ?db ?warm_start:j.jb_warm
-           ~slice_trials:t.slice_trials j.jb_cfg j.jb_machine j.jb_graph)
+      Slice.start ~scratch ?db ?warm_start:j.jb_warm ~slice_trials:t.slice_trials
+        j.jb_cfg j.jb_machine j.jb_graph
 
 (* Runs with the lock NOT held; publishes its outcome under the lock. *)
 let run_slice t j =

@@ -29,15 +29,6 @@ let algo_of_string ?(max_evals = 1000) s =
   | "heft" -> Ok Heft
   | other -> Error (Printf.sprintf "unknown algorithm %S" other)
 
-let algo_to_string = function
-  | Cd -> "cd"
-  | Ccd _ -> "ccd"
-  | Ensemble_tuner -> "ensemble"
-  | Random_walk _ -> "random"
-  | Annealing _ -> "annealing"
-  | Portfolio -> "portfolio"
-  | Heft -> "heft"
-
 type result = {
   algo : algo;
   db : Profiles_db.t;
@@ -55,13 +46,7 @@ type result = {
   oom : int;
   engine_steps : int;
   checkpoints_written : int;
-  batch_calls : int;
-  batch_short_circuits : int;
-  symmetry_skips : int;
-  surrogate_trained : int;
-  surrogate_reranks : int;
-  surrogate_skips : int;
-  spearman : float;
+  stats : Evaluator.stats;
 }
 
 (* HEFT is not a search: the list schedule *is* the mapping.  As a
@@ -121,130 +106,148 @@ let final_protocol ?(final_top = 5) ?(final_runs = 30) ev ~search_best ~search_p
       if Stats.mean runs < Stats.mean bruns then cand else acc)
     (List.hd candidates) (List.tl candidates)
 
-let run ?runs ?(final_top = 5) ?(final_runs = 30) ?noise_sigma ?iterations
-    ?(seed = 0) ?budget ?max_trials ?max_wall ?start ?(heft_seed = false)
-    ?objective ?extended ?incremental ?domain_prune ?(batch = false)
-    ?(min_batch = Descent.default_min_batch) ?(surrogate = true) ?surrogate_skim
-    ?(symmetry = true) ?(dominance = true)
-    ?db ?on_event ?checkpoint ?(checkpoint_every = 25) ?resume_from algo machine
-    graph =
-  let fail fmt = Printf.ksprintf failwith fmt in
+exception Resume_error of string
+
+type cfg = {
+  algo : algo;
+  runs : int;
+  noise_sigma : float option;
+  iterations : int option;
+  seed : int;
+  budget : float option;
+  max_trials : int option;
+  batch : bool;
+  min_batch : int;
+  surrogate : bool;
+  surrogate_skim : int option;
+  symmetry : bool;
+  dominance : bool;
+  heft_seed : bool;
+  final_top : int;
+  final_runs : int;
+}
+
+let default_cfg =
+  {
+    algo = Ccd { rotations = 5 };
+    runs = 7;
+    noise_sigma = None;
+    iterations = None;
+    seed = 0;
+    budget = None;
+    max_trials = None;
+    batch = false;
+    min_batch = Descent.default_min_batch;
+    surrogate = true;
+    surrogate_skim = None;
+    symmetry = true;
+    dominance = true;
+    heft_seed = false;
+    final_top = 5;
+    final_runs = 30;
+  }
+
+type session = {
+  ev : Evaluator.t;
+  strategy : Engine.strategy;
+  surrogate : Surrogate.t option;
+  seen : Engine.seen option;
+  start : Mapping.t;
+  carry : Engine.carry option;
+  max_virtual : float option;
+}
+
+(* The one place a search is built or restored; [run] and the serve
+   daemon's slice driver both go through it, so a resumed search is
+   set up exactly like the fresh one that wrote the checkpoint. *)
+let session ?objective ?extended ?incremental ?domain_prune ?scratch ?db ?start
+    ?snapshot cfg machine graph =
+  let ( let* ) = Result.bind in
   (* skim only makes sense on ranked batches *)
-  let batch = batch || surrogate_skim <> None in
-  let snapshot =
-    match resume_from with
-    | None -> None
-    | Some path -> (
-        match Engine.load_snapshot path with
-        | Ok s -> Some (path, s)
-        | Error e -> fail "%s: %s" path e)
-  in
-  let db =
-    (* a checkpoint carries its own profiles database — it supersedes
-       any warm-start [?db] *)
+  let batch = cfg.batch || cfg.surrogate_skim <> None in
+  (* a checkpoint carries its own profiles database — it supersedes
+     any warm-start [db] *)
+  let* db =
     match snapshot with
-    | None -> db
-    | Some (path, s) -> (
-        match Profiles_db.load graph s.Engine.s_profiles with
-        | Ok db -> Some db
-        | Error e -> fail "%s: profiles section: %s" path e)
+    | None -> Ok db
+    | Some s ->
+        Profiles_db.load graph s.Engine.s_profiles
+        |> Result.map Option.some
+        |> Result.map_error (( ^ ) "profiles section: ")
   in
   let ev =
-    Evaluator.create ?runs ?noise_sigma ?iterations ~seed ?objective ?extended
-      ?incremental ?domain_prune ~symmetry ~dominance ?db machine graph
+    Evaluator.create ~runs:cfg.runs ?noise_sigma:cfg.noise_sigma
+      ?iterations:cfg.iterations ~seed:cfg.seed ?objective ?extended ?incremental
+      ?domain_prune ~symmetry:cfg.symmetry ~dominance:cfg.dominance ?db ?scratch
+      machine graph
   in
+  let space = Evaluator.space ev in
+  let new_surrogate () = Surrogate.create ?skim:cfg.surrogate_skim space in
   (* The seen-set memoizes evaluated orbits so symmetric duplicates are
      skipped; keyed by the space's canonicalizer, it exists exactly when
      the evaluator's space canonicalizes (symmetry is part of the
      fingerprint, so resume cannot silently flip it). *)
   let seen =
-    if Space.symmetry (Evaluator.space ev) then
-      Some (Engine.seen_create (Space.canonicalize (Evaluator.space ev)))
+    if Space.symmetry space then Some (Engine.seen_create (Space.canonicalize space))
     else None
   in
-  let checkpoint =
-    Option.map (fun path -> { Engine.every = checkpoint_every; path }) checkpoint
-  in
-  let o =
+  (* ranking needs batch proposals (checkpoints then fall strictly
+     between ranked batches — see Descent); without batch the model
+     still trains for telemetry and a later batched run *)
+  let rank sg = if batch then sg else None in
+  let* surrogate, strategy, start, carry, portfolio =
     match snapshot with
     | None ->
         let start =
           match start with
           | Some m -> m
           | None ->
-              if heft_seed || algo = Heft then Heft.mapping machine graph
+              if cfg.heft_seed || cfg.algo = Heft then Heft.mapping machine graph
               else Mapping.default_start graph machine
         in
-        let sg =
-          if not surrogate then None
-          else Some (Surrogate.create ?skim:surrogate_skim (Evaluator.space ev))
-        in
-        Option.iter (Evaluator.attach_surrogate ev) sg;
-        (* ranking needs batch proposals (checkpoints then fall strictly
-           between ranked batches — see Descent); without batch the
-           model still trains for telemetry and a later batched run *)
-        let rank_sg = if batch then sg else None in
+        let sg = if cfg.surrogate then Some (new_surrogate ()) else None in
         let strat =
-          make_strategy ~seed ?budget ~batch ~min_batch ?surrogate:rank_sg algo ev
+          make_strategy ~seed:cfg.seed ?budget:cfg.budget ~batch
+            ~min_batch:cfg.min_batch ?surrogate:(rank sg) cfg.algo ev
         in
-        let budget =
-          (* the portfolio shares [budget] across members through its own
-             absolute deadlines; every other algorithm gets it as the
-             engine's virtual-time cap *)
-          let max_virtual = if algo = Portfolio then None else budget in
-          Budget.make ?max_trials ?max_virtual ?max_wall ()
+        Ok (sg, strat, start, None, cfg.algo = Portfolio)
+    | Some s ->
+        let* () =
+          if Evaluator.fingerprint ev = s.Engine.s_fingerprint then Ok ()
+          else
+            Error
+              (Printf.sprintf
+                 "fingerprint mismatch — checkpoint was written with a different \
+                  machine, graph or evaluator configuration (%s vs %s)"
+                 s.Engine.s_fingerprint (Evaluator.fingerprint ev))
         in
-        Engine.run ~budget ?on_event ?checkpoint ?surrogate:sg ?seen ~start ev
-          strat
-    | Some (path, s) ->
-        if Evaluator.fingerprint ev <> s.Engine.s_fingerprint then
-          fail
-            "%s: fingerprint mismatch — checkpoint was written with a different \
-             machine, graph or evaluator configuration (%s vs %s)"
-            path s.Engine.s_fingerprint (Evaluator.fingerprint ev);
-        (match Evaluator.restore_state ev s.Engine.s_evaluator with
-        | Ok () -> ()
-        | Error e -> fail "%s: %s" path e);
+        let* () = Evaluator.restore_state ev s.Engine.s_evaluator in
         (* the snapshot decides whether a surrogate resumes: restoring
            one into a surrogate-free run (or dropping it from a
            surrogate run) would silently change the decision sequence.
            The model's own header rejects a skim/config mismatch. *)
-        let sg =
-          if s.Engine.s_surrogate = [] then None
-          else begin
-            let m = Surrogate.create ?skim:surrogate_skim (Evaluator.space ev) in
-            (match Surrogate.restore m s.Engine.s_surrogate with
-            | Ok () -> ()
-            | Error e -> fail "%s: %s" path e);
-            Some m
-          end
+        let* sg =
+          if s.Engine.s_surrogate = [] then Ok None
+          else
+            let m = new_surrogate () in
+            let* () = Surrogate.restore m s.Engine.s_surrogate in
+            Ok (Some m)
         in
-        Option.iter (Evaluator.attach_surrogate ev) sg;
-        (* the fingerprint check above guarantees the snapshot was
-           written with the same symmetry flag, so [seen] exists exactly
-           when the snapshot has entries to restore *)
-        (match seen with
-        | Some sn -> (
-            match Engine.seen_restore sn s.Engine.s_symmetry with
-            | Ok () -> ()
-            | Error e -> fail "%s: symmetry section: %s" path e)
-        | None ->
-            if s.Engine.s_symmetry <> [] then
-              fail "%s: checkpoint has a symmetry section but symmetry is off"
-                path);
-        let rank_sg = if batch then sg else None in
-        let strat =
-          match
-            decode_strategy ~batch ~min_batch ?surrogate:rank_sg ev
-              ~algo:s.Engine.s_algo s.Engine.s_strategy
-          with
-          | Ok strat -> strat
-          | Error e -> fail "%s: %s" path e
+        let* () =
+          match seen with
+          | Some sn ->
+              Engine.seen_restore sn s.Engine.s_symmetry
+              |> Result.map_error (( ^ ) "symmetry section: ")
+          | None when s.Engine.s_symmetry = [] -> Ok ()
+          | None -> Error "checkpoint has a symmetry section but symmetry is off"
         in
-        let best_m =
-          match Mapping.of_canonical_key graph s.Engine.s_best_key with
-          | Some m -> m
-          | None -> fail "%s: best-mapping key does not parse for this graph" path
+        let* strat =
+          decode_strategy ~batch ~min_batch:cfg.min_batch ?surrogate:(rank sg) ev
+            ~algo:s.Engine.s_algo s.Engine.s_strategy
+        in
+        let* best_m =
+          Mapping.of_canonical_key graph s.Engine.s_best_key
+          |> Option.to_result ~none:"best-mapping key does not parse for this graph"
         in
         let carry =
           {
@@ -254,19 +257,72 @@ let run ?runs ?(final_top = 5) ?(final_runs = 30) ?noise_sigma ?iterations
             c_best = (best_m, s.Engine.s_best_perf);
           }
         in
-        let budget =
-          let max_virtual = if s.Engine.s_algo = "portfolio" then None else budget in
-          Budget.make ?max_trials ?max_virtual ?max_wall ()
-        in
-        Engine.run ~budget ?on_event ?checkpoint ~carry ?surrogate:sg ?seen
-          ~start:best_m ev strat
+        Ok (sg, strat, best_m, Some carry, s.Engine.s_algo = "portfolio")
   in
+  (* the portfolio shares [budget] across members through its own
+     absolute deadlines; every other algorithm gets it as the engine's
+     virtual-time cap *)
+  let max_virtual = if portfolio then None else cfg.budget in
+  Option.iter (Evaluator.attach_surrogate ev) surrogate;
+  Ok { ev; strategy; surrogate; seen; start; carry; max_virtual }
+
+let run_session ?on_event ?checkpoint ?max_trials ?max_wall s =
+  let budget = Budget.make ?max_trials ?max_virtual:s.max_virtual ?max_wall () in
+  Engine.run ~budget ?on_event ?checkpoint ?carry:s.carry ?surrogate:s.surrogate
+    ?seen:s.seen ~start:s.start s.ev s.strategy
+
+let run ?(runs = default_cfg.runs) ?(final_top = default_cfg.final_top)
+    ?(final_runs = default_cfg.final_runs) ?noise_sigma ?iterations
+    ?(seed = default_cfg.seed) ?budget ?max_trials ?max_wall ?start
+    ?(heft_seed = default_cfg.heft_seed) ?objective ?extended ?incremental
+    ?domain_prune ?(batch = default_cfg.batch) ?(min_batch = default_cfg.min_batch)
+    ?(surrogate = default_cfg.surrogate) ?surrogate_skim
+    ?(symmetry = default_cfg.symmetry) ?(dominance = default_cfg.dominance) ?db
+    ?on_event ?checkpoint ?(checkpoint_every = 25) ?resume_from algo machine graph
+    =
+  let cfg =
+    {
+      algo;
+      runs;
+      noise_sigma;
+      iterations;
+      seed;
+      budget;
+      max_trials;
+      batch;
+      min_batch;
+      surrogate;
+      surrogate_skim;
+      symmetry;
+      dominance;
+      heft_seed;
+      final_top;
+      final_runs;
+    }
+  in
+  let open_session ?snapshot () =
+    session ?objective ?extended ?incremental ?domain_prune ?db ?start ?snapshot cfg
+      machine graph
+  in
+  let s =
+    match resume_from with
+    | None -> open_session ()
+    | Some path ->
+        Result.bind (Engine.load_snapshot path) (fun snapshot ->
+            open_session ~snapshot ())
+        |> Result.map_error (fun e -> path ^ ": " ^ e)
+  in
+  let s = match s with Ok s -> s | Error e -> raise (Resume_error e) in
+  let checkpoint =
+    Option.map (fun path -> { Engine.every = checkpoint_every; path }) checkpoint
+  in
+  let o = run_session ?on_event ?checkpoint ?max_trials ?max_wall s in
+  let ev = s.ev in
   let search_best, search_perf = (o.Engine.best, o.Engine.perf) in
   let best, best_runs =
     final_protocol ~final_top ~final_runs ev ~search_best ~search_perf
   in
   let vt = Evaluator.virtual_time ev in
-  let st = Evaluator.stats ev in
   {
     algo;
     db = Evaluator.db ev;
@@ -284,16 +340,10 @@ let run ?runs ?(final_top = 5) ?(final_runs = 30) ?noise_sigma ?iterations
     oom = Evaluator.oom_count ev;
     engine_steps = o.Engine.steps;
     checkpoints_written = o.Engine.checkpoints_written;
-    batch_calls = Evaluator.batch_calls ev;
-    batch_short_circuits = Evaluator.batch_short_circuits ev;
-    symmetry_skips = st.Evaluator.s_symmetry_skips;
-    surrogate_trained = st.Evaluator.s_surrogate_trained;
-    surrogate_reranks = st.Evaluator.s_surrogate_reranks;
-    surrogate_skips = st.Evaluator.s_surrogate_skips;
-    spearman = st.Evaluator.s_spearman;
+    stats = Evaluator.stats ev;
   }
 
-let pp_result ppf r =
+let pp_result ppf (r : result) =
   Format.fprintf ppf
     "%s: perf=%.6gs/iter (search best %.6g), suggested=%d evaluated=%d cache=%d invalid=%d oom=%d, search time=%.1fs (useful %.0f%%)"
     (algo_name r.algo) r.perf r.search_perf r.suggested r.evaluated r.cache_hits

@@ -23,10 +23,6 @@ val algo_of_string : ?max_evals:int -> string -> (algo, string) Stdlib.result
     [max_evals] (default 1000) parameterizes the stochastic
     algorithms. *)
 
-val algo_to_string : algo -> string
-(** Inverse spelling of {!algo_of_string} (parameters dropped:
-    [Ccd _] is ["ccd"]).  Matches {!Engine.snapshot.s_algo}. *)
-
 type result = {
   algo : algo;
   db : Profiles_db.t;           (** every measurement of the search *)
@@ -44,13 +40,7 @@ type result = {
   oom : int;
   engine_steps : int;          (** {!Engine} strategy steps taken *)
   checkpoints_written : int;
-  batch_calls : int;           (** {!Evaluator.batch_calls} *)
-  batch_short_circuits : int;  (** {!Evaluator.batch_short_circuits} *)
-  symmetry_skips : int;        (** symmetric duplicates never re-evaluated *)
-  surrogate_trained : int;     (** SGD observations absorbed (0 without model) *)
-  surrogate_reranks : int;     (** batches reordered by the model *)
-  surrogate_skips : int;       (** candidates never simulated (skim mode) *)
-  spearman : float;            (** rank correlation, recent window; nan early *)
+  stats : Evaluator.stats;     (** every evaluator counter, after the final protocol *)
 }
 
 val make_strategy :
@@ -62,12 +52,11 @@ val make_strategy :
   algo ->
   Evaluator.t ->
   Engine.strategy
-(** A fresh strategy for [algo], exactly as {!run} builds one: [seed]
-    derives the stochastic algorithms' seeds, [budget] becomes the
-    portfolio's member shares, [batch]/[min_batch]/[surrogate]
+(** A fresh strategy for [algo], exactly as {!session} builds one:
+    [seed] derives the stochastic algorithms' seeds, [budget] becomes
+    the portfolio's member shares, [batch]/[min_batch]/[surrogate]
     configure CD/CCD proposal batching (gated — see
-    {!Descent.next_gated} — and ranked).  Exposed for callers that
-    drive {!Engine.run} themselves (the serve daemon's slice driver). *)
+    {!Descent.next_gated} — and ranked). *)
 
 val decode_strategy :
   ?batch:bool ->
@@ -96,6 +85,99 @@ val final_protocol :
     (falling back to [(search_best, [search_perf])] on an empty
     database).  {!run} applies it automatically; the serve daemon's
     slice driver calls it when a sliced search completes. *)
+
+(** {2 Search sessions} *)
+
+exception Resume_error of string
+(** Raised by {!run} when [resume_from] names a checkpoint that cannot
+    be resumed: missing or unreadable, truncated or corrupt,
+    fingerprint-mismatched, or naming an unknown strategy.  The message
+    starts with the checkpoint path. *)
+
+type cfg = {
+  algo : algo;
+  runs : int;                  (** per-candidate measurement runs (§5: 7) *)
+  noise_sigma : float option;  (** [None] = evaluator default *)
+  iterations : int option;
+  seed : int;
+  budget : float option;       (** virtual-time cap *)
+  max_trials : int option;     (** total evaluated-trial cap *)
+  batch : bool;
+  min_batch : int;
+  surrogate : bool;
+  surrogate_skim : int option;
+  symmetry : bool;   (** orbit canonicalization + seen-set skipping *)
+  dominance : bool;  (** dominance-pruned choice lists *)
+  heft_seed : bool;
+  final_top : int;
+  final_runs : int;
+}
+(** Everything that determines a search's decision stream, plus the
+    decision-neutral [min_batch] gate.  [batch] is decision-neutral
+    only without a surrogate: with one (the default) it turns on
+    best-predicted-first reranking, which changes the trajectory.  The
+    fields mean what {!run}'s labelled arguments of the same names
+    mean. *)
+
+val default_cfg : cfg
+(** {!run}'s defaults: CCD(5), 7 runs, seed 0, no caps, unranked
+    ([batch = false]) with {!Descent.default_min_batch}, surrogate on,
+    symmetry and dominance reduction on, final protocol 5 x 30. *)
+
+type session = {
+  ev : Evaluator.t;
+  strategy : Engine.strategy;
+  surrogate : Surrogate.t option;  (** trained on every exact evaluation *)
+  seen : Engine.seen option;       (** symmetry seen-set *)
+  start : Mapping.t;               (** start point, or the resumed best *)
+  carry : Engine.carry option;     (** engine counters of a resumed search *)
+  max_virtual : float option;
+      (** the engine's virtual-time cap: [cfg.budget], except for the
+          portfolio, which spends the budget through its own member
+          deadlines *)
+}
+(** A search ready to hand to {!Engine.run} (see {!run_session}). *)
+
+val session :
+  ?objective:(Machine.t -> Exec.result -> float) ->
+  ?extended:bool ->
+  ?incremental:bool ->
+  ?domain_prune:bool ->
+  ?scratch:Exec.scratch ->
+  ?db:Profiles_db.t ->
+  ?start:Mapping.t ->
+  ?snapshot:Engine.snapshot ->
+  cfg ->
+  Machine.t ->
+  Graph.t ->
+  (session, string) Stdlib.result
+(** Build a search, or restore one from a parsed checkpoint.  This is
+    the only place that creates the evaluator (over [scratch]'s
+    compiled problem when given), the surrogate and the seen-set, and
+    that builds or decodes the strategy.
+
+    Fresh ([snapshot] absent): the evaluator is warm-started from [db];
+    the search starts from [start], else from {!Heft.mapping} when
+    [cfg.heft_seed] or the algorithm is HEFT, else from
+    {!Mapping.default_start}.  Never fails.
+
+    Resume: the snapshot's profiles database, evaluator state,
+    surrogate (present exactly when the snapshot has a surrogate
+    section), seen-set and strategy replace the fresh ones, and
+    [carry] continues the engine's counters, so the search goes on
+    decision-identically.  [db] and [start] are ignored.  Errors on a
+    fingerprint mismatch (different machine, graph or evaluator
+    configuration) or a corrupt section. *)
+
+val run_session :
+  ?on_event:(Engine.event -> unit) ->
+  ?checkpoint:Engine.checkpoint_cfg ->
+  ?max_trials:int ->
+  ?max_wall:float ->
+  session ->
+  Engine.outcome
+(** {!Engine.run} on the session, capped by [max_trials] (total, resume
+    included), [max_wall] and the session's [max_virtual]. *)
 
 val run :
   ?runs:int ->
@@ -138,9 +220,11 @@ val run :
     [extended] opens the distribution-strategy dimension,
     [incremental] (default true) toggles incremental re-simulation,
     [batch] (default false) runs CD/CCD through
-    {!Engine.Propose_batch} whole-neighbour-set evaluation
-    (decision-identical, faster — see {!Evaluator.evaluate_batch};
-    other algorithms ignore it), [min_batch] (default
+    {!Engine.Propose_batch} whole-neighbour-set evaluation (see
+    {!Evaluator.evaluate_batch}; other algorithms ignore it).  Without
+    a surrogate batching is decision-identical; with the default
+    surrogate it also turns on reranking (below), which changes the
+    trajectory.  [min_batch] (default
     {!Descent.default_min_batch}) keeps sub-threshold rounds on the
     sequential path where batching does not amortize (still
     decision-identical; pass 1 to always batch) and
@@ -149,9 +233,10 @@ val run :
 
     [surrogate] (default true) trains an online {!Surrogate} cost
     model on every exact evaluation; combined with [batch] it also
-    reranks CD/CCD candidate batches best-predicted-first (same
-    candidates, same acceptance rule — the exact simulator still
-    decides).  [surrogate_skim] additionally simulates only the top-K
+    reranks CD/CCD candidate batches best-predicted-first.  The
+    candidates and the acceptance rule stay the same, but the order
+    decides which improvement is taken first, so reranking changes the
+    trajectory.  [surrogate_skim] additionally simulates only the top-K
     predictions of each ranked batch (implies [batch]); skimming can
     change the search trajectory, so it is guarded by the never-worse
     bench gate rather than an identity proof.  Resume note: the
@@ -178,8 +263,8 @@ val run :
     (machine, graph, evaluator-configuration) run — the snapshot's own
     strategy, evaluator state and profiles database replace [algo]'s
     fresh strategy and [db], and the search continues
-    decision-identically from where it stopped.
-    @raise Failure if the checkpoint is unreadable, fingerprint-
-    mismatched, or names an unknown strategy. *)
+    decision-identically from where it stopped.  Fresh and resumed
+    searches are both built by {!session}.
+    @raise Resume_error if the checkpoint cannot be resumed. *)
 
 val pp_result : Format.formatter -> result -> unit

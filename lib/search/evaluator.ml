@@ -734,9 +734,6 @@ let cut_runs t = t.cut_runs
 let cut_sims t = t.cut_sims
 let noop_skips t = t.noop_skips
 let dead_coord_skips t = t.dead_coord_skips
-let symmetry_skips t = t.symmetry_skips
-let batch_calls t = t.batch_calls
-let batch_short_circuits t = t.batch_short_circuits
 let eval_time t = t.eval_time
 
 let stats t =

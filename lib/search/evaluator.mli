@@ -77,8 +77,8 @@ val create :
     [symmetry] (default false) activates orbit canonicalization on the
     evaluator's {!Space} (canonical random samples; the engine's
     seen-set uses {!Space.canonicalize} to skip symmetric duplicates,
-    counted by {!symmetry_skips}).  [dominance] (default false)
-    additionally prunes dominated values from the space's choice lists
+    counted by [s_symmetry_skips] in {!stats}).  [dominance] (default
+    false) additionally prunes dominated values from the space's choice lists
     ({!Analysis.compute_dominance}); it requires [domain_prune] and is
     ignored under [fallback], whose demotions invalidate the
     certificates.  Both flags are part of {!fingerprint}: unlike the
@@ -172,13 +172,6 @@ val evaluate_batch :
     per-candidate clock charges and best-notes are journaled and
     replayed in original index order afterwards. *)
 
-val batch_calls : t -> int
-(** Number of {!evaluate_batch} invocations. *)
-
-val batch_short_circuits : t -> int
-(** Batches in which at least one candidate was skipped because an
-    earlier-index candidate beat the bound. *)
-
 val note_suggestion_overhead : t -> float -> unit
 (** Charge extra virtual time attributed to the search algorithm
     itself (the ensemble tuner's proposal machinery, §5.3's
@@ -226,12 +219,6 @@ val note_noop_neighbor : t -> unit
 (** Record that a search skipped a candidate identical to its
     incumbent without suggesting it. *)
 
-val symmetry_skips : t -> int
-(** Candidates the engine rejected from its canonical seen-set — a
-    symmetric twin had already been evaluated and its recorded value
-    certifies rejection — without evaluating
-    (see {!note_symmetry_skip}). *)
-
 val note_symmetry_skip : t -> unit
 (** Record that the engine skipped a candidate whose orbit-canonical
     representative was already evaluated. *)
@@ -274,9 +261,10 @@ type stats = {
   s_cut_sims : int;
   s_noop_skips : int;
   s_dead_coord_skips : int;
-  s_symmetry_skips : int;        (** {!symmetry_skips} *)
-  s_batch_calls : int;           (** {!batch_calls} *)
-  s_batch_short_circuits : int;  (** {!batch_short_circuits} *)
+  s_symmetry_skips : int;  (** seen-set rejections ({!note_symmetry_skip}) *)
+  s_batch_calls : int;     (** {!evaluate_batch} invocations *)
+  s_batch_short_circuits : int;
+      (** batches cut short because an earlier candidate beat the bound *)
   s_compile_cache_hits : int;
       (** compiled-problem reuses: 1 when this evaluator was created
           with [?scratch], plus any server compile-cache hits noted via

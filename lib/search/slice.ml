@@ -1,18 +1,20 @@
 (* One scheduling quantum of a search, for the serve daemon: run the
    engine for at most [slice_trials] evaluated proposals, then either
    finish (strategy stopped or the request's own budget ran out) or
-   pause into a checkpoint envelope.  Because the pause/resume path is
-   the PR 5 checkpoint codec — proven decision-identical — a search
-   chopped into slices (possibly hopping between worker domains, each
-   slice on a fresh evaluator over the shared compiled problem) takes
-   exactly the trial sequence the unsliced run would.
+   pause into a checkpoint envelope.  Every slice opens its search with
+   [Driver.session] — the first from the config, later ones from the
+   envelope — which is the same path [Driver.run] builds and resumes
+   through, so a search chopped into slices (possibly hopping between
+   worker domains, each slice on a fresh evaluator over the shared
+   compiled problem) takes exactly the trial sequence the unsliced run
+   would.
 
    The only approximation is the wall clock: each slice accumulates its
    own elapsed time into the envelope's wall field.  Wall is not
    decision-relevant here (slice budgets are trial-counted and requests
    carry no max_wall), so the accumulated value is telemetry. *)
 
-type cfg = {
+type cfg = Driver.cfg = {
   algo : Driver.algo;
   runs : int;
   noise_sigma : float option;
@@ -31,25 +33,10 @@ type cfg = {
   final_runs : int;
 }
 
-let default_cfg =
-  {
-    algo = Driver.Ccd { rotations = 5 };
-    runs = 7;
-    noise_sigma = None;
-    iterations = None;
-    seed = 0;
-    budget = None;
-    max_trials = None;
-    batch = true;
-    min_batch = Descent.default_min_batch;
-    surrogate = true;
-    surrogate_skim = None;
-    symmetry = true;
-    dominance = true;
-    heft_seed = false;
-    final_top = 5;
-    final_runs = 30;
-  }
+(* The CLI runs unranked; serve ranks its batches with the surrogate,
+   which on the serve benchmark cuts the tuning time enough to pay for
+   the model. *)
+let default_cfg = { Driver.default_cfg with batch = true }
 
 let algo_spec = function
   | Driver.Cd -> "cd"
@@ -73,9 +60,10 @@ let eval_identity cfg =
 
 let eval_fingerprint cfg = Digest.to_hex (Digest.string (eval_identity cfg))
 
-(* The full search identity, for the result memo.  Deliberately
-   conservative: decision-neutral fields (batch, min_batch) are
-   included too — segmenting the memo slightly finer than necessary
+(* The full search identity, for the result memo.  [batch] is part of
+   it because, under the surrogate, it turns on reranking, which
+   changes the trajectory.  [min_batch] is decision-neutral but
+   included anyway: segmenting the memo slightly finer than necessary
    costs a warm start where a hit was possible, never a wrong answer. *)
 let fingerprint cfg =
   Digest.to_hex
@@ -91,41 +79,12 @@ let fingerprint cfg =
 type finished = {
   best : Mapping.t;
   perf : float;
-  best_runs : float list;
-  search_best : Mapping.t;
   search_perf : float;
   trials : int;
 }
 
 type progress = { ckpt : string; p_trials : int; p_best_perf : float }
 type status = Finished of finished | Paused of progress
-
-(* skim only makes sense on ranked batches (mirrors Driver.run) *)
-let eff_batch cfg = cfg.batch || cfg.surrogate_skim <> None
-
-let make_evaluator ?scratch ?db cfg machine graph =
-  Evaluator.create ~runs:cfg.runs ?noise_sigma:cfg.noise_sigma
-    ?iterations:cfg.iterations ~seed:cfg.seed ~symmetry:cfg.symmetry
-    ~dominance:cfg.dominance ?db ?scratch machine graph
-
-(* mirrors Driver.run: the seen-set exists exactly when the evaluator's
-   space canonicalizes; symmetry is part of the fingerprint so resumed
-   slices cannot silently flip it *)
-let make_seen ev =
-  if Space.symmetry (Evaluator.space ev) then
-    Some (Engine.seen_create (Space.canonicalize (Evaluator.space ev)))
-  else None
-
-let slice_budget cfg ~done_trials ~slice_trials =
-  let cap =
-    let c = done_trials + slice_trials in
-    match cfg.max_trials with Some m -> min m c | None -> c
-  in
-  (* the portfolio consumes [budget] through its own member deadlines;
-     every other algorithm gets it as the engine's virtual-time cap
-     (mirrors Driver.run) *)
-  let max_virtual = if cfg.algo = Driver.Portfolio then None else cfg.budget in
-  (cap, Budget.make ~max_trials:cap ?max_virtual ())
 
 (* Did the slice end because the search is over, or because the quantum
    ran out?  Hitting the slice cap with the request's own limits still
@@ -134,13 +93,13 @@ let slice_budget cfg ~done_trials ~slice_trials =
    exactly on the cap is indistinguishable from a truncated one; it
    costs one extra no-op slice that stops immediately, evaluating
    nothing. *)
-let is_finished cfg ev (o : Engine.outcome) ~cap =
+let is_finished cfg (s : Driver.session) (o : Engine.outcome) ~cap =
   o.Engine.trials < cap
   || (match cfg.max_trials with Some m -> o.Engine.trials >= m | None -> false)
   ||
-  match cfg.budget with
-  | Some b when cfg.algo <> Driver.Portfolio -> Evaluator.virtual_time ev > b
-  | _ -> false
+  match s.Driver.max_virtual with
+  | Some b -> Evaluator.virtual_time s.Driver.ev > b
+  | None -> false
 
 let conclude cfg ev (o : Engine.outcome) =
   let best, best_runs =
@@ -151,116 +110,49 @@ let conclude cfg ev (o : Engine.outcome) =
     {
       best;
       perf = Stats.mean best_runs;
-      best_runs;
-      search_best = o.Engine.best;
       search_perf = o.Engine.perf;
       trials = o.Engine.trials;
     }
 
-let pause ?surrogate ?seen ev strat (o : Engine.outcome) ~wall =
+let pause (s : Driver.session) (o : Engine.outcome) ~wall =
   Paused
     {
       ckpt =
-        Engine.checkpoint_string ?surrogate ?seen ev strat ~trials:o.Engine.trials
-          ~steps:o.Engine.steps ~wall ~best:(o.Engine.best, o.Engine.perf);
+        Engine.checkpoint_string ?surrogate:s.Driver.surrogate ?seen:s.Driver.seen
+          s.Driver.ev s.Driver.strategy ~trials:o.Engine.trials ~steps:o.Engine.steps
+          ~wall ~best:(o.Engine.best, o.Engine.perf);
       p_trials = o.Engine.trials;
       p_best_perf = o.Engine.perf;
     }
 
-let start ?scratch ?db ?warm_start ?on_event ~slice_trials cfg machine graph =
-  let batch = eff_batch cfg in
-  let ev = make_evaluator ?scratch ?db cfg machine graph in
-  let start_m =
-    match warm_start with
-    | Some m -> Evaluator.note_warm_start ev; m
-    | None ->
-        if cfg.heft_seed || cfg.algo = Driver.Heft then Heft.mapping machine graph
-        else Mapping.default_start graph machine
+(* Run one slice of a session: at most [slice_trials] more evaluated
+   trials, never past the request's own cap. *)
+let run_slice ?on_event ~slice_trials cfg (s : Driver.session) =
+  let done_trials, wall0 =
+    match s.Driver.carry with
+    | Some c -> (c.Engine.c_trials, c.Engine.c_wall)
+    | None -> (0, 0.0)
   in
-  let sg =
-    if not cfg.surrogate then None
-    else Some (Surrogate.create ?skim:cfg.surrogate_skim (Evaluator.space ev))
+  let cap =
+    let c = done_trials + slice_trials in
+    match cfg.max_trials with Some m -> min m c | None -> c
   in
-  Option.iter (Evaluator.attach_surrogate ev) sg;
-  let rank_sg = if batch then sg else None in
-  let strat =
-    Driver.make_strategy ~seed:cfg.seed ?budget:cfg.budget ~batch
-      ~min_batch:cfg.min_batch ?surrogate:rank_sg cfg.algo ev
-  in
-  let seen = make_seen ev in
-  let cap, budget = slice_budget cfg ~done_trials:0 ~slice_trials in
   let t0 = Unix.gettimeofday () in
-  let o =
-    Engine.run ~budget ?on_event ?surrogate:sg ?seen ~start:start_m ev strat
-  in
+  let o = Driver.run_session ?on_event ~max_trials:cap s in
   let status =
-    if is_finished cfg ev o ~cap then conclude cfg ev o
-    else pause ?surrogate:sg ?seen ev strat o ~wall:(Unix.gettimeofday () -. t0)
+    if is_finished cfg s o ~cap then conclude cfg s.Driver.ev o
+    else pause s o ~wall:(wall0 +. (Unix.gettimeofday () -. t0))
   in
-  (status, ev)
+  (status, s.Driver.ev)
+
+let start ?scratch ?db ?warm_start ?on_event ~slice_trials cfg machine graph =
+  Driver.session ?scratch ?db ?start:warm_start cfg machine graph
+  |> Result.map (fun s ->
+         if warm_start <> None then Evaluator.note_warm_start s.Driver.ev;
+         run_slice ?on_event ~slice_trials cfg s)
 
 let resume ?scratch ?on_event ~slice_trials cfg machine graph ~ckpt =
-  let ( let* ) = Result.bind in
-  let batch = eff_batch cfg in
-  let* s = Engine.snapshot_of_string ckpt in
-  let* db = Profiles_db.load graph s.Engine.s_profiles in
-  let ev = make_evaluator ?scratch ~db cfg machine graph in
-  let* () =
-    if Evaluator.fingerprint ev = s.Engine.s_fingerprint then Ok ()
-    else
-      Error
-        (Printf.sprintf
-           "Slice.resume: fingerprint mismatch (%s vs %s) — checkpoint belongs \
-            to a different machine/graph/config"
-           s.Engine.s_fingerprint (Evaluator.fingerprint ev))
-  in
-  let* () = Evaluator.restore_state ev s.Engine.s_evaluator in
-  (* the snapshot decides whether a surrogate resumes (see Driver.run) *)
-  let* sg =
-    if s.Engine.s_surrogate = [] then Ok None
-    else
-      let m = Surrogate.create ?skim:cfg.surrogate_skim (Evaluator.space ev) in
-      let* () = Surrogate.restore m s.Engine.s_surrogate in
-      Ok (Some m)
-  in
-  Option.iter (Evaluator.attach_surrogate ev) sg;
-  let rank_sg = if batch then sg else None in
-  let* strat =
-    Driver.decode_strategy ~batch ~min_batch:cfg.min_batch ?surrogate:rank_sg ev
-      ~algo:s.Engine.s_algo s.Engine.s_strategy
-  in
-  let* best_m =
-    match Mapping.of_canonical_key graph s.Engine.s_best_key with
-    | Some m -> Ok m
-    | None -> Error "Slice.resume: best-mapping key does not parse for this graph"
-  in
-  let carry =
-    {
-      Engine.c_trials = s.Engine.s_trials;
-      c_steps = s.Engine.s_steps;
-      c_wall = s.Engine.s_wall;
-      c_best = (best_m, s.Engine.s_best_perf);
-    }
-  in
-  let seen = make_seen ev in
-  let* () =
-    match seen with
-    | Some sn -> Engine.seen_restore sn s.Engine.s_symmetry
-    | None ->
-        if s.Engine.s_symmetry = [] then Ok ()
-        else
-          Error
-            "Slice.resume: checkpoint has a symmetry section but symmetry is off"
-  in
-  let cap, budget = slice_budget cfg ~done_trials:s.Engine.s_trials ~slice_trials in
-  let t0 = Unix.gettimeofday () in
-  let o =
-    Engine.run ~budget ?on_event ~carry ?surrogate:sg ?seen ~start:best_m ev strat
-  in
-  let status =
-    if is_finished cfg ev o ~cap then conclude cfg ev o
-    else
-      pause ?surrogate:sg ?seen ev strat o
-        ~wall:(s.Engine.s_wall +. (Unix.gettimeofday () -. t0))
-  in
-  Ok (status, ev)
+  Result.bind (Engine.snapshot_of_string ckpt) (fun snapshot ->
+      Driver.session ?scratch ~snapshot cfg machine graph)
+  |> Result.map (run_slice ?on_event ~slice_trials cfg)
+  |> Result.map_error (fun e -> "Slice.resume: " ^ e)

@@ -6,12 +6,13 @@
     slices the search exists only as that envelope — the server can
     persist it, re-enqueue it behind other requests, or hand it to a
     different worker domain (each slice builds a fresh evaluator, so
-    only the immutable {!Exec.compiled} problem is shared).  Because
-    pause/resume is the {!Engine} checkpoint codec, the sliced search
-    is decision-identical to the unsliced one; SIGTERM durability falls
-    out of persisting the envelope after every slice. *)
+    only the immutable {!Exec.compiled} problem is shared).  Every slice
+    opens its search through {!Driver.session}, exactly as {!Driver.run}
+    builds and resumes one, so the sliced search is decision-identical
+    to the unsliced one; SIGTERM durability falls out of persisting the
+    envelope after every slice. *)
 
-type cfg = {
+type cfg = Driver.cfg = {
   algo : Driver.algo;
   runs : int;                  (** per-candidate measurement runs (§5: 7) *)
   noise_sigma : float option;  (** [None] = evaluator default *)
@@ -29,21 +30,21 @@ type cfg = {
   final_top : int;
   final_runs : int;
 }
-(** Everything that determines a search's decision stream (plus the
-    decision-neutral batching knobs).  The server derives cache keys
-    from it and rebuilds identical slice drivers from it on restart. *)
+(** {!Driver.cfg}, re-exported.  The server derives cache keys from it
+    and rebuilds identical slice drivers from it on restart. *)
 
 val default_cfg : cfg
-(** CCD(5), 7 runs, seed 0, no caps, gated batching with
-    {!Descent.default_min_batch}, surrogate on, symmetry and dominance
-    reduction on — the serve daemon's per-request defaults. *)
+(** {!Driver.default_cfg} with [batch = true]: the serve daemon ranks
+    its batches with the surrogate, which pays on the serve benchmark,
+    while the CLI default runs unranked. *)
 
 val algo_spec : Driver.algo -> string
 (** Compact wire spelling of an algorithm, e.g. ["ccd:5"],
     ["random:1000"] — the inverse of the CLI/wire algo parsers. *)
 
 val fingerprint : cfg -> string
-(** Hex digest of the full search identity.  Together with the machine
+(** Hex digest of the full search identity, [batch] included (under the
+    surrogate it turns on reranking).  Together with the machine
     and graph fingerprints this keys the server's result memo: equal
     triples guarantee bit-equal answers. *)
 
@@ -56,8 +57,6 @@ val eval_fingerprint : cfg -> string
 type finished = {
   best : Mapping.t;       (** winner of the final protocol *)
   perf : float;           (** its final average *)
-  best_runs : float list; (** the final protocol's runs for it *)
-  search_best : Mapping.t;
   search_perf : float;
   trials : int;
 }
@@ -79,15 +78,16 @@ val start :
   cfg ->
   Machine.t ->
   Graph.t ->
-  status * Evaluator.t
-(** First slice: build the evaluator (over [scratch]'s compiled problem
-    when given — the compile-cache path), seed the profiles database
-    from [db] (the shared pool), run at most [slice_trials] trials.
-    [warm_start] seeds the search from a memoized incumbent instead of
-    the default/HEFT start (counted via {!Evaluator.note_warm_start});
-    warm-started searches explore a different — typically shorter —
-    trajectory, which is exactly their point.  The returned evaluator
-    carries the slice's stats and profiles database. *)
+  (status * Evaluator.t, string) result
+(** First slice: open a fresh {!Driver.session} (its evaluator over
+    [scratch]'s compiled problem when given — the compile-cache path —
+    warm-started from [db], the shared pool) and run at most
+    [slice_trials] trials.  [warm_start] seeds the search from a
+    memoized incumbent instead of the default/HEFT start (counted via
+    {!Evaluator.note_warm_start}); warm-started searches explore a
+    different — typically shorter — trajectory, which is exactly their
+    point.  The returned evaluator carries the slice's stats and
+    profiles database. *)
 
 val resume :
   ?scratch:Exec.scratch ->
@@ -98,8 +98,7 @@ val resume :
   Graph.t ->
   ckpt:string ->
   (status * Evaluator.t, string) result
-(** Continue a paused search from its envelope, decision-identically:
-    profiles database, evaluator state, strategy cursor and surrogate
-    all restore from [ckpt] ([cfg] must be the one the chain started
-    with — the evaluator fingerprint check enforces the eval-identity
-    part).  Errors on a corrupt or mismatched envelope. *)
+(** Continue a paused search from its envelope through
+    {!Driver.session}, decision-identically ([cfg] must be the one the
+    chain started with — the evaluator fingerprint check enforces the
+    eval-identity part).  Errors on a corrupt or mismatched envelope. *)

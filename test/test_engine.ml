@@ -359,7 +359,7 @@ let test_driver_fingerprint_mismatch () =
           (Driver.Ccd { rotations = 5 }) m g
       with
       | _ -> Alcotest.fail "mismatched resume must raise"
-      | exception Failure msg ->
+      | exception Driver.Resume_error msg ->
           Alcotest.(check bool) "mentions fingerprint" true
             (String.length msg > 0
             && Str_helpers.contains msg "fingerprint"))

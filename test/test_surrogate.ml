@@ -262,10 +262,10 @@ let test_driver_surrogate_resume () =
         resumed.Driver.search_perf;
       Alcotest.(check int) "same evaluation count" full.Driver.evaluated
         resumed.Driver.evaluated;
-      Alcotest.(check int) "same surrogate observations" full.Driver.surrogate_trained
-        resumed.Driver.surrogate_trained;
+      Alcotest.(check int) "same surrogate observations" full.Driver.stats.Evaluator.s_surrogate_trained
+        resumed.Driver.stats.Evaluator.s_surrogate_trained;
       Alcotest.(check bool) "surrogate actually ran" true
-        (full.Driver.surrogate_trained > 0))
+        (full.Driver.stats.Evaluator.s_surrogate_trained > 0))
 
 let test_driver_surrogate_free_checkpoint () =
   (* a checkpoint written without a surrogate resumes surrogate-free
@@ -294,7 +294,7 @@ let test_driver_surrogate_free_checkpoint () =
           (Driver.Ccd { rotations = 5 })
           m g
       in
-      Alcotest.(check int) "resumes surrogate-free" 0 resumed.Driver.surrogate_trained;
+      Alcotest.(check int) "resumes surrogate-free" 0 resumed.Driver.stats.Evaluator.s_surrogate_trained;
       Alcotest.(check bool) "same best mapping" true
         (Mapping.equal full.Driver.best resumed.Driver.best);
       Alcotest.(check (float 0.0)) "same search perf" full.Driver.search_perf
@@ -321,7 +321,7 @@ let test_driver_skim_mismatch () =
           m g
       with
       | _ -> Alcotest.fail "skim-mismatched resume must raise"
-      | exception Failure msg ->
+      | exception Driver.Resume_error msg ->
           Alcotest.(check bool) "mentions mismatch" true
             (Str_helpers.contains msg "mismatch"))
 

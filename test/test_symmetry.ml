@@ -297,7 +297,7 @@ let test_driver_resume_with_symmetry () =
       in
       let full = run ~max_trials:60 () in
       Alcotest.(check bool) "symmetry skipped duplicates" true
-        (full.Driver.symmetry_skips > 0);
+        (full.Driver.stats.Evaluator.s_symmetry_skips > 0);
       let truncated = run ~checkpoint:path ~max_trials:20 () in
       Alcotest.(check bool) "checkpoint written" true
         (truncated.Driver.checkpoints_written >= 1);
@@ -320,7 +320,7 @@ let test_driver_resume_with_symmetry () =
         (off.Driver.checkpoints_written >= 1);
       match run ~resume_from:path ~max_trials:60 () with
       | _ -> Alcotest.fail "resume accepted a symmetry-off checkpoint"
-      | exception Failure msg ->
+      | exception Driver.Resume_error msg ->
           Alcotest.(check bool) "mismatch names the fingerprint" true
             (Str_helpers.contains msg "fingerprint"))
 
@@ -349,7 +349,7 @@ let test_reduced_search_never_worse () =
             ~start:(Mapping.default_start g machine)
             ev (Ccd.make ~rotations:2 ev)
         in
-        (o.Engine.perf, Evaluator.symmetry_skips ev)
+        (o.Engine.perf, (Evaluator.stats ev).Evaluator.s_symmetry_skips)
       in
       let base_perf, _ = run ~reduce:false in
       let red_perf, skips = run ~reduce:true in
