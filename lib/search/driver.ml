@@ -85,21 +85,73 @@ let decode_strategy ?(batch = false) ?(min_batch = 1) ?surrogate ev ~algo lines 
   | "heft" -> Ok heft_strategy
   | other -> Error (Printf.sprintf "unknown strategy %S in checkpoint" other)
 
+(* Below this many task instances per run, a final-protocol run is too
+   short for a second domain and its scratch to pay: shepard:4 problems
+   (at most ~1.5k instances) stay sequential, grid:32x32 ones (25k-37k)
+   go parallel. *)
+let parallel_min_instances = 8192
+
+(* [runs] objective runs of each mapping, each list newest first — what
+   measuring the mappings one after another returns, bit for bit: run
+   [r] of candidate [c] gets the seed that loop would have drawn, and
+   [Stats.mean] then folds the same list.  The runs are dealt in
+   chunks of one candidate's consecutive runs (one rebind per chunk) to
+   [domains] workers; worker 0 measures on the evaluator's scratch,
+   every other worker on one scratch of its own. *)
+let measure_final ~domains ev ~runs mappings =
+  let cands = Array.of_list mappings in
+  let n = Array.length cands * runs in
+  let first = Evaluator.reserve_seeds ev n in
+  let objs = Array.make n 0.0 in
+  let workers = max 1 (min domains n) in
+  let chunk = (runs + workers - 1) / workers in
+  let per_cand = (runs + chunk - 1) / chunk in
+  let next = Atomic.make 0 in
+  let worker w () =
+    let scratch = ref None in
+    let rec loop () =
+      let k = Atomic.fetch_and_add next 1 in
+      if k < Array.length cands * per_cand then begin
+        if w > 0 && Option.is_none !scratch then
+          scratch := Some (Evaluator.measurement_scratch ev);
+        let c = k / per_cand and lo = (k mod per_cand) * chunk in
+        for r = lo to min runs (lo + chunk) - 1 do
+          let j = (c * runs) + r in
+          objs.(j) <- Evaluator.objective_run ?scratch:!scratch ev ~seed:(first + j) cands.(c)
+        done;
+        loop ()
+      end
+    in
+    loop ()
+  in
+  ignore (Parallel.map ~domains:workers (List.init workers worker));
+  Array.to_list
+    (Array.mapi
+       (fun c m -> (m, List.init runs (fun i -> objs.((c * runs) + runs - 1 - i))))
+       cands)
+
 (* Final protocol (§5): re-run the [final_top] best mappings of the
    profiles database [final_runs] times each; report the one with the
    fastest average.  Shared by [run] and the serve daemon's slice
    driver, which applies it when a sliced search finishes. *)
-let final_protocol ?(final_top = 5) ?(final_runs = 30) ev ~search_best ~search_perf
-    =
+let final_protocol ?(final_top = 5) ?(final_runs = 30) ?domains ev ~search_best
+    ~search_perf =
   let candidates =
     match Profiles_db.top (Evaluator.db ev) final_top with
     | [] -> [ (search_best, [ search_perf ]) ]
     | tops ->
-        List.map
-          (fun e ->
-            let m = e.Profiles_db.mapping in
-            (m, Evaluator.measure_objective ev ~runs:final_runs m))
-          tops
+        let domains =
+          match domains with
+          | Some d -> d
+          | None ->
+              (* at most 4, like Parallel.map's default: every worker
+                 past the first holds a scratch of its own *)
+              if Evaluator.run_instances ev >= parallel_min_instances then
+                min 4 (Domain.recommended_domain_count ())
+              else 1
+        in
+        measure_final ~domains ev ~runs:final_runs
+          (List.map (fun e -> e.Profiles_db.mapping) tops)
   in
   List.fold_left
     (fun ((_, bruns) as acc) ((_, runs) as cand) ->

@@ -75,6 +75,7 @@ val decode_strategy :
 val final_protocol :
   ?final_top:int ->
   ?final_runs:int ->
+  ?domains:int ->
   Evaluator.t ->
   search_best:Mapping.t ->
   search_perf:float ->
@@ -84,7 +85,21 @@ val final_protocol :
     (30) times each and return the fastest-on-average with its runs
     (falling back to [(search_best, [search_perf])] on an empty
     database).  {!run} applies it automatically; the serve daemon's
-    slice driver calls it when a sliced search completes. *)
+    slice driver calls it when a sliced search completes.
+
+    The runs are independent, so they are dealt across [domains]
+    workers (see {!Parallel.map}).  The answer does not depend on
+    [domains]: run [r] of candidate [c] uses the seed the sequential
+    protocol would draw, each candidate's runs come back newest first
+    as successive {!Evaluator.objective_run}s would cons them, and the
+    evaluator's measurement seed counter advances by the same total.
+    The protocol uses [min 4 (Domain.recommended_domain_count ())]
+    workers when one run simulates at least 8192 task instances
+    ({!Evaluator.run_instances}) and 1 below that, where a run is too
+    short for a second domain to pay.  [domains] overrides that choice;
+    it is a test hook, so tests can force both paths on a small
+    problem.  Worker 0 measures on the evaluator's scratch; every other
+    worker builds one {!Evaluator.measurement_scratch}. *)
 
 (** {2 Search sessions} *)
 

@@ -203,11 +203,6 @@ let next_seed t =
   t.seed_counter <- t.seed_counter + 1;
   t.seed_counter
 
-let run_once t ?iterations mapping =
-  let iterations = match iterations with Some _ as i -> i | None -> t.iterations in
-  Exec.simulate ~noise_sigma:t.noise_sigma ~seed:(next_seed t) ~fallback:t.fallback
-    ?iterations t.scratch mapping
-
 let note_best t mapping perf =
   match t.best with
   | Some (_, p) when p <= perf -> ()
@@ -927,22 +922,54 @@ let restore_state t lines =
     | _ -> fail "truncated state"
   with Failure m -> Error m
 
-let measure_with t ?runs ?iterations metric mapping =
+(* One measurement run on [sc]: a one-shot seed, so the run neither
+   reads nor fills the per-seed noise and timeline tables — no later
+   candidate will ever draw this seed again.  [metric] reads the run's
+   result off [sc]'s planes. *)
+let measure_run t sc ~iterations ~seed metric mapping =
+  let st =
+    Exec.simulate_quiet ~retain:false sc mapping ~noise_sigma:t.noise_sigma ~seed
+      ~fallback:t.fallback ~iterations ~cutoff:infinity
+  in
+  if st <> Exec.st_finished then
+    failwith
+      ("Evaluator.measure: "
+      ^ Placement.error_to_string
+          (match Exec.quiet_error sc with Some e -> e | None -> assert false));
+  metric sc
+
+let objective_of t sc =
+  if t.objective == default_objective then Exec.quiet_per_iteration sc
+  else t.objective t.machine (Exec.quiet_result sc)
+
+let measure t ?runs ?iterations mapping =
   let runs = Option.value runs ~default:t.runs in
+  let iterations = Option.value iterations ~default:t.eff_iters in
   let rec go n acc =
     if n = 0 then acc
     else
-      match run_once t ?iterations mapping with
-      | Ok r -> go (n - 1) (metric r :: acc)
-      | Error e -> failwith ("Evaluator.measure: " ^ Placement.error_to_string e)
+      let seed = next_seed t in
+      go (n - 1)
+        (measure_run t t.scratch ~iterations ~seed Exec.quiet_per_iteration mapping :: acc)
   in
   go runs []
 
-let measure t ?runs ?iterations mapping =
-  measure_with t ?runs ?iterations (fun r -> r.Exec.per_iteration) mapping
+let reserve_seeds t n =
+  let first = t.seed_counter + 1 in
+  t.seed_counter <- t.seed_counter + n;
+  first
 
-let measure_objective t ?runs mapping =
-  measure_with t ?runs (fun r -> t.objective t.machine r) mapping
+let run_instances t =
+  t.eff_iters * Exec.slots_per_iteration (Exec.compiled_of_scratch t.scratch)
+
+let measurement_scratch t =
+  let sc = Exec.scratch (Exec.compiled_of_scratch t.scratch) in
+  Exec.set_incremental sc false;
+  sc
+
+let objective_run ?scratch t ~seed mapping =
+  let sc = Option.value scratch ~default:t.scratch in
+  measure_run t sc ~iterations:t.eff_iters ~seed (objective_of t) mapping
 
 let profile_for t mapping =
   match Exec.simulate ~noise_sigma:0.0 ~fallback:t.fallback ?iterations:t.iterations

@@ -334,9 +334,33 @@ val measure : t -> ?runs:int -> ?iterations:int -> Mapping.t -> float list
     bookkeeping — for baseline comparisons.  Raises [Failure] on
     invalid/OOM mappings. *)
 
-val measure_objective : t -> ?runs:int -> Mapping.t -> float list
-(** Like {!measure} but returns the evaluator's objective values —
-    what the final top-5 × 30 re-evaluation ranks by. *)
+(** {2 Measurement runs across domains}
+
+    The final protocol's runs ({!Driver.final_protocol}) are
+    independent: each has its own seed.  These calls let a caller deal
+    them across domains and still get exactly what measuring them one
+    after another would return.  Measurement seeds are
+    one-shot, so every measurement run ({!measure} included) leaves
+    Exec's per-seed noise and timeline tables untouched. *)
+
+val reserve_seeds : t -> int -> int
+(** [reserve_seeds t n] takes the next [n] measurement seeds and returns
+    the first: the seeds are [first .. first + n - 1], the ones the next
+    [n] runs of {!measure} would have drawn. *)
+
+val run_instances : t -> int
+(** Task instances one measurement run simulates (instance slots per
+    iteration x iterations) — the size of a run. *)
+
+val measurement_scratch : t -> Exec.scratch
+(** A fresh scratch over the evaluator's compiled problem, with
+    incremental replay off, for measurement runs on another domain. *)
+
+val objective_run : ?scratch:Exec.scratch -> t -> seed:int -> Mapping.t -> float
+(** The objective of one run of [mapping] under [seed] (what the final
+    protocol ranks by), on [scratch] (default: the evaluator's own).  Reads only immutable evaluator state, so calls on
+    distinct scratches may run on distinct domains.  Raises [Failure]
+    on invalid/OOM mappings. *)
 
 val profile_for : t -> Mapping.t -> Profile.t
 (** Noise-free per-task profile under a mapping (task ordering for

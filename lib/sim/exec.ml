@@ -48,7 +48,7 @@ let channel_class_index = function
    encodes three regimes: -1 = same memory (no copy); >= 0 = the
    pre-topology kind-level channel slot, kept byte-identical for every
    machine without a topology; <= -2 = routed, with (-2 - dep_chan)
-   hops in the fixed-stride hop tables.  Per-link busy-until clocks
+   hops in the scratch's hop pool.  Per-link busy-until clocks
    live after the kind-level plane of [chan_free]:
    slot = nodes * n_channel_classes + link id. *)
 let link_slot_base ~nodes = nodes * n_channel_classes
@@ -60,10 +60,9 @@ let n_chan_slots machine =
   | Some topo -> Topology.n_links topo
   | None -> 0
 
-(* Fixed stride of the per-dep hop tables: the longest route plus one
-   PCIe staging hop per FB endpoint.  Fixed-width rows keep
-   [bind_delta]'s in-place dep rebinding sound. *)
-let dep_hop_stride machine =
+(* Longest hop row a dep can bind: the longest route plus one PCIe
+   staging hop per FB endpoint. *)
+let max_row_hops machine =
   match machine.Machine.topology with
   | Some topo -> Topology.max_hops topo + 2
   | None -> 0
@@ -394,6 +393,153 @@ let run_reference ?(noise_sigma = 0.03) ?(seed = 0) ?(fallback = false) ?iterati
         }
 
 (* ------------------------------------------------------------------ *)
+(* The event queue: a binary min-heap with a float priority and an int *)
+(* payload in flat arrays.                                             *)
+(*                                                                     *)
+(* It lives in this compilation unit on purpose.  dune's dev profile   *)
+(* compiles every module with -opaque, which stops inlining across     *)
+(* modules, and a float crossing a call that is not inlined is boxed.  *)
+(* Kept here, [push] and [top_prio] inline into the event loop and the *)
+(* per-event path allocates nothing.  Per-event code belongs in this   *)
+(* file for the same reason.                                           *)
+(* ------------------------------------------------------------------ *)
+
+module Event_queue = struct
+  type t = {
+    mutable prio : float array;
+    mutable seq : int array;
+    mutable payload : int array;
+    mutable size : int;
+    mutable next_seq : int;
+  }
+
+  let create ?(capacity = 16) () =
+    let capacity = max capacity 1 in
+    {
+      prio = Array.make capacity 0.0;
+      seq = Array.make capacity 0;
+      payload = Array.make capacity 0;
+      size = 0;
+      next_seq = 0;
+    }
+
+  let[@inline] is_empty h = h.size = 0
+
+  (* strict ordering: priority, then insertion sequence (FIFO on ties).
+     The sift loops move the displaced element as a hole (read once,
+     shift the path, write once) rather than swapping at every level —
+     half the array traffic on the event loop's hottest inner loops. *)
+
+  let grow h =
+    let cap = Array.length h.prio in
+    if h.size = cap then begin
+      let ncap = 2 * cap in
+      let np = Array.make ncap 0.0 and ns = Array.make ncap 0 and nv = Array.make ncap 0 in
+      Array.blit h.prio 0 np 0 h.size;
+      Array.blit h.seq 0 ns 0 h.size;
+      Array.blit h.payload 0 nv 0 h.size;
+      h.prio <- np;
+      h.seq <- ns;
+      h.payload <- nv
+    end
+
+  (* Unsafe indexing below: every index is either [start] (< size, by the
+     callers) or a parent/child index derived from one, and the three
+     arrays always share one capacity >= size. *)
+  let sift_up h start =
+    let prio = h.prio and seq = h.seq and payload = h.payload in
+    let p = Array.unsafe_get prio start
+    and s = Array.unsafe_get seq start
+    and v = Array.unsafe_get payload start in
+    let i = ref start in
+    let continue = ref true in
+    while !continue && !i > 0 do
+      let parent = (!i - 1) / 2 in
+      let pp = Array.unsafe_get prio parent in
+      if p < pp || (p = pp && s < Array.unsafe_get seq parent) then begin
+        Array.unsafe_set prio !i pp;
+        Array.unsafe_set seq !i (Array.unsafe_get seq parent);
+        Array.unsafe_set payload !i (Array.unsafe_get payload parent);
+        i := parent
+      end
+      else continue := false
+    done;
+    Array.unsafe_set prio !i p;
+    Array.unsafe_set seq !i s;
+    Array.unsafe_set payload !i v
+
+  let[@inline] push_with_seq h prio payload ~seq =
+    grow h;
+    let i = h.size in
+    h.prio.(i) <- prio;
+    h.seq.(i) <- seq;
+    h.payload.(i) <- payload;
+    h.size <- h.size + 1;
+    sift_up h i
+
+  let set_next_seq h seq = h.next_seq <- seq
+
+  let[@inline] push h prio payload =
+    grow h;
+    let i = h.size in
+    h.prio.(i) <- prio;
+    h.seq.(i) <- h.next_seq;
+    h.payload.(i) <- payload;
+    h.next_seq <- h.next_seq + 1;
+    h.size <- h.size + 1;
+    sift_up h i
+
+  let[@inline] top_prio h = h.prio.(0)
+  let[@inline] top h = h.payload.(0)
+
+  let drop h =
+    if h.size > 0 then begin
+      h.size <- h.size - 1;
+      let n = h.size in
+      if n > 0 then begin
+        let prio = h.prio and seq = h.seq and payload = h.payload in
+        let p = Array.unsafe_get prio n
+        and s = Array.unsafe_get seq n
+        and v = Array.unsafe_get payload n in
+        let i = ref 0 in
+        let continue = ref true in
+        while !continue do
+          let l = (2 * !i) + 1 in
+          if l >= n then continue := false
+          else begin
+            let r = l + 1 in
+            let pl = Array.unsafe_get prio l in
+            let c =
+              if
+                r < n
+                && (let pr = Array.unsafe_get prio r in
+                    pr < pl
+                    || (pr = pl && Array.unsafe_get seq r < Array.unsafe_get seq l))
+              then r
+              else l
+            in
+            let pc = Array.unsafe_get prio c in
+            if pc < p || (pc = p && Array.unsafe_get seq c < s) then begin
+              Array.unsafe_set prio !i pc;
+              Array.unsafe_set seq !i (Array.unsafe_get seq c);
+              Array.unsafe_set payload !i (Array.unsafe_get payload c);
+              i := c
+            end
+            else continue := false
+          end
+        done;
+        Array.unsafe_set prio !i p;
+        Array.unsafe_set seq !i s;
+        Array.unsafe_set payload !i v
+      end
+    end
+
+  let reset h =
+    h.size <- 0;
+    h.next_seq <- 0
+end
+
+(* ------------------------------------------------------------------ *)
 (* Compiled fast path.                                                *)
 (*                                                                    *)
 (* [compile] derives every mapping-independent structure once, as     *)
@@ -492,6 +638,7 @@ type scratch = {
   prob : compiled;
   (* per-instance state, grown on demand when [iterations] increases *)
   mutable cap_instances : int;
+  mutable cap_replay : int;    (* instances [pop_buf] / [adm_*] cover *)
   mutable ready_time : float array;
   mutable indeg : int array;
   mutable noise : float array;
@@ -514,18 +661,23 @@ type scratch = {
                                   | <= -2 routed with (-2 - v) hops *)
   dep_class : int array;
   dep_cost : float array;
-  (* routed-copy hop tables: dep [k]'s hops live at [k * hop_stride];
-     each hop is a (busy-until slot, seconds) pair.  Empty (stride 0)
-     on machines without a topology. *)
-  hop_stride : int;
-  hop_slot : int array;
-  hop_cost : float array;
+  (* Routed-copy hop pool, CSR: routed dep [k]'s (-2 - dep_chan.(k))
+     hops live at [dep_hop.(k) ..]; each hop is a (busy-until slot,
+     seconds) pair.  Sized by the hops actually bound, not by
+     deps x longest route: [bind] rebuilds the pool, [bind_delta]
+     appends the rows it rebinds and rebuilds once the rows it orphaned
+     outweigh the live ones.  Empty on machines without a topology. *)
+  dep_hop : int array;
+  mutable hop_slot : int array;
+  mutable hop_cost : float array;
+  mutable hop_len : int;       (* pool entries written, live or orphaned *)
+  mutable hop_live : int;      (* entries some routed dep points at *)
+  hop_row_max : int;           (* longest row ({!max_row_hops}) *)
   dep_cross : bool array;      (* routed dep crosses the bisection cut *)
   (* false only for [:free] (uncontended) topologies: copies still pay
      full path cost but never serialize on the busy-until clocks *)
   contended : bool;
-  mutable hop_t : float;       (* running clock of the hop walk *)
-  events : Fheap.t;
+  events : Event_queue.t;
   (* cache of the last successful bind: the evaluator's §5 protocol
      simulates the same mapping [runs] times in a row with different
      noise seeds, and placement + binding are noise-independent.
@@ -730,11 +882,11 @@ let compile machine (g : Graph.t) =
 let scratch prob =
   let machine = prob.cmachine in
   let n_deps = Array.length prob.dep_bytes in
-  let stride = dep_hop_stride machine in
   let dummy_noise = { nbuf = [||]; nfilled = 0; nrng = Rng.create 0; nsigma = 0.0 } in
   {
     prob;
     cap_instances = 0;
+    cap_replay = 0;
     ready_time = [||];
     indeg = [||];
     noise = [||];
@@ -750,13 +902,15 @@ let scratch prob =
     dep_chan = Array.make (max n_deps 1) 0;
     dep_class = Array.make (max n_deps 1) 0;
     dep_cost = Array.make (max n_deps 1) 0.0;
-    hop_stride = stride;
-    hop_slot = Array.make (max (n_deps * stride) 1) 0;
-    hop_cost = Array.make (max (n_deps * stride) 1) 0.0;
+    dep_hop = Array.make (max n_deps 1) 0;
+    hop_slot = [||];
+    hop_cost = [||];
+    hop_len = 0;
+    hop_live = 0;
+    hop_row_max = max_row_hops machine;
     dep_cross = Array.make (max n_deps 1) false;
     contended = clocks_contended machine;
-    hop_t = 0.0;
-    events = Fheap.create ();
+    events = Event_queue.create ();
     bound_mapping = None;
     bound_fallback = false;
     bound_placement = None;
@@ -807,6 +961,7 @@ let compiled_of_scratch sc = sc.prob
 let compiled_machine prob = prob.cmachine
 let compiled_graph prob = prob.cgraph
 let compiled_words prob = Obj.reachable_words (Obj.repr prob)
+let slots_per_iteration prob = prob.spi
 
 let set_shared sc on = sc.shared_scratch <- on
 let bind_cache_hits sc = (sc.bind_hits_shared, sc.bind_hits_private)
@@ -831,13 +986,21 @@ let ensure_capacity sc n =
     done;
     sc.inst_slot <- is;
     sc.inst_iter <- ii;
+    sc.cap_instances <- n
+  end
+
+(* The pop record and admission planes, two entries per instance.  Only
+   runs that may commit a timeline need them, so a scratch that never
+   retains one (incremental off, one-shot seeds) never allocates them. *)
+let ensure_replay_capacity sc n =
+  if n > sc.cap_replay then begin
     (* generation stamps start over at 0; [adm_run] keeps increasing, so
        stale zeros can never alias a live run's mark *)
     sc.pop_buf <- Array.make (2 * n) 0;
     sc.adm_prio <- Array.make (2 * n) 0.0;
     sc.adm_seq <- Array.make (2 * n) 0;
     sc.adm_mark <- Array.make (2 * n) 0;
-    sc.cap_instances <- n
+    sc.cap_replay <- n
   end
 
 (* ------------------------------------------------------------------ *)
@@ -853,7 +1016,12 @@ let set_incremental sc on =
     sc.n_tls <- 0;
     sc.tls <- [||];
     sc.n_nzs <- 0;
-    sc.nzs <- [||]
+    sc.nzs <- [||];
+    sc.pop_buf <- [||];
+    sc.adm_prio <- [||];
+    sc.adm_seq <- [||];
+    sc.adm_mark <- [||];
+    sc.cap_replay <- 0
   end
 let incremental sc = sc.incremental
 
@@ -921,9 +1089,7 @@ let noise_reserve c n =
 
 let noise_fill c upto =
   if upto > c.nfilled then begin
-    for i = c.nfilled to upto - 1 do
-      c.nbuf.(i) <- Rng.lognormal c.nrng ~sigma:c.nsigma
-    done;
+    Rng.fill_lognormal c.nrng ~sigma:c.nsigma c.nbuf ~pos:c.nfilled ~len:(upto - c.nfilled);
     c.nfilled <- upto
   end
 
@@ -1004,6 +1170,28 @@ let bind_task sc pl mapping tid =
             Placement.effective_mem_kind pl ~cid:c.Graph.cid ~shard:s)
     done
 
+let reserve_hops sc n =
+  let cap = Array.length sc.hop_slot in
+  if n > cap then begin
+    let ncap = max n (2 * cap) in
+    let ns = Array.make ncap 0 and nc = Array.make ncap 0.0 in
+    Array.blit sc.hop_slot 0 ns 0 sc.hop_len;
+    Array.blit sc.hop_cost 0 nc 0 sc.hop_len;
+    sc.hop_slot <- ns;
+    sc.hop_cost <- nc
+  end
+
+(* Hops dep [k]'s current binding owns in the pool. *)
+let[@inline] dep_hops sc k =
+  let c = sc.dep_chan.(k) in
+  if c <= -2 then -2 - c else 0
+
+(* Inlined so the hop's cost reaches the pool unboxed. *)
+let[@inline] put_hop sc i slot cost =
+  sc.hop_slot.(i) <- slot;
+  sc.hop_cost.(i) <- cost
+
+(* Bind dep [k], appending its hop row (if routed) to the pool. *)
 let bind_dep sc pl k =
   let prob = sc.prob in
   let machine = prob.cmachine in
@@ -1046,31 +1234,37 @@ let bind_dep sc pl k =
            node's single link, a slot bijection with the pre-topology
            Network plane. *)
         let bytes = prob.dep_bytes.(k) in
-        let base = k * sc.hop_stride in
+        reserve_hops sc (sc.hop_len + sc.hop_row_max);
+        let base = sc.hop_len in
         let link_base = link_slot_base ~nodes:machine.Machine.nodes in
         let nh = ref 0 in
-        let add slot cost =
-          sc.hop_slot.(base + !nh) <- slot;
-          sc.hop_cost.(base + !nh) <- cost;
-          incr nh
-        in
         let total = Cost.copy_seconds machine ~src:src_mem ~dst:dst_mem ~bytes in
         (match Topology.family topo with
-        | Topology.Direct -> add (link_base + src_mem.Machine.mnode) total
+        | Topology.Direct ->
+            put_hop sc base (link_base + src_mem.Machine.mnode) total;
+            nh := 1
         | _ ->
             let staging =
               machine.Machine.copy.Machine.local_latency
               +. (bytes /. machine.Machine.copy.Machine.pcie_bw)
             in
-            if src_mem.Machine.mkind = Kinds.Frame_buffer then
-              add ((src_mem.Machine.mnode * n_channel_classes) + 2) staging;
+            if src_mem.Machine.mkind = Kinds.Frame_buffer then begin
+              put_hop sc base ((src_mem.Machine.mnode * n_channel_classes) + 2) staging;
+              nh := 1
+            end;
             Topology.route_iter topo ~src:src_mem.Machine.mnode
               ~dst:dst_mem.Machine.mnode ~f:(fun l ->
-                add (link_base + l.Topology.lid)
-                  (l.Topology.llat +. (bytes /. l.Topology.lbw)));
-            if dst_mem.Machine.mkind = Kinds.Frame_buffer then
-              add ((dst_mem.Machine.mnode * n_channel_classes) + 2) staging);
+                put_hop sc (base + !nh) (link_base + l.Topology.lid)
+                  (l.Topology.llat +. (bytes /. l.Topology.lbw));
+                incr nh);
+            if dst_mem.Machine.mkind = Kinds.Frame_buffer then begin
+              put_hop sc (base + !nh) ((dst_mem.Machine.mnode * n_channel_classes) + 2)
+                staging;
+              incr nh
+            end);
         sc.dep_chan.(k) <- -2 - !nh;
+        sc.dep_hop.(k) <- base;
+        sc.hop_len <- base + !nh;
         sc.dep_class.(k) <- channel_class_index ch;
         sc.dep_cost.(k) <- total;
         sc.dep_cross.(k) <-
@@ -1078,14 +1272,19 @@ let bind_dep sc pl k =
           <> Topology.side topo dst_mem.Machine.mnode
   end
 
+let bind_deps sc pl =
+  sc.hop_len <- 0;
+  for k = 0 to Array.length sc.prob.dep_bytes - 1 do
+    bind_dep sc pl k
+  done;
+  sc.hop_live <- sc.hop_len
+
 let bind sc pl mapping =
   let prob = sc.prob in
   for tid = 0 to Graph.n_tasks prob.cgraph - 1 do
     bind_task sc pl mapping tid
   done;
-  for k = 0 to Array.length prob.dep_bytes - 1 do
-    bind_dep sc pl k
-  done
+  bind_deps sc pl
 
 (* Re-bind only the entries a coordinate change can invalidate: the
    slots of changed tasks and of tasks owning a changed collection
@@ -1105,7 +1304,10 @@ let bind_delta sc pl mapping ~tids ~cids =
     cids;
   let rebind_deps_of_cid cid =
     for j = prob.cid_dep_off.(cid) to prob.cid_dep_off.(cid + 1) - 1 do
-      bind_dep sc pl prob.cid_dep_idx.(j)
+      let k = prob.cid_dep_idx.(j) in
+      sc.hop_live <- sc.hop_live - dep_hops sc k;
+      bind_dep sc pl k;
+      sc.hop_live <- sc.hop_live + dep_hops sc k
     done
   in
   List.iter rebind_deps_of_cid cids;
@@ -1115,7 +1317,14 @@ let bind_delta sc pl mapping ~tids ~cids =
         (fun (c : Graph.collection) ->
           if not (List.mem c.cid cids) then rebind_deps_of_cid c.cid)
         (Graph.task g tid).args)
-    tids
+    tids;
+  (* Rebound rows were appended; the rows they replaced are orphaned.
+     Once the orphans outweigh the live rows (plus one entry per dep, so
+     a rebuild is paid for by at least that many appended hops), rebind
+     every dep into a fresh pool: bind_dep is a function of [pl], so the
+     rebuilt tables are the ones a full bind writes. *)
+  if sc.hop_len - sc.hop_live > sc.hop_live + Array.length prob.dep_bytes then
+    bind_deps sc pl
 
 (* Admission eligibility: a diff wider than this dirties so much of the
    timeline that scanning for a clean prefix is wasted work.  Search
@@ -1214,20 +1423,23 @@ let st_error = 2
 
 (* Lazy noise refill, out of line: int-only signature, and in the
    steady state [sim_nfilled] already covers the run so it is never
-   called. *)
+   called.  It fills through the end of [upto - 1]'s iteration: one bulk
+   draw per iteration reached keeps a fresh seed's run at O(iterations)
+   words, and a cut run still skips the iterations it never reached.
+   Draws are sequential either way, so the values do not depend on how
+   the refills are split. *)
 let fill_noise sc upto =
+  let spi = sc.prob.spi in
+  let upto = (upto + spi - 1) / spi * spi in
   match sc.sim_fill with
   | 1 ->
       let c = sc.sim_ncache in
       noise_fill c upto;
       sc.sim_nfilled <- c.nfilled
   | 2 ->
-      let buf = sc.sim_noise in
-      let rng = sc.sim_nrng in
-      let sigma = sc.sim_sigma in
-      for i = sc.sim_nfilled to upto - 1 do
-        buf.(i) <- Rng.lognormal rng ~sigma
-      done;
+      let from = sc.sim_nfilled in
+      Rng.fill_lognormal sc.sim_nrng ~sigma:sc.sim_sigma sc.sim_noise ~pos:from
+        ~len:(upto - from);
       sc.sim_nfilled <- upto
   | _ -> ()
 
@@ -1277,7 +1489,7 @@ let[@inline] push_ev sc prio payload =
     sc.adm_mark.(payload) <- sc.adm_run;
     sc.sim_vseq <- sc.sim_vseq + 1
   end
-  else Fheap.push sc.events prio payload
+  else Event_queue.push sc.events prio payload
 
 let[@inline] dep_arrived sc i t =
   let ready_time = sc.ready_time in
@@ -1355,19 +1567,19 @@ let[@inline] do_done sc i t_done =
           if not sc.contended then t_done +. sc.dep_cost.(k)
           else begin
             let nh = -2 - chan in
-            let base = k * sc.hop_stride in
-            sc.hop_t <- t_done;
-            for h = 0 to nh - 1 do
-              let hslot = sc.hop_slot.(base + h) in
-              let cost = sc.hop_cost.(base + h) in
+            let base = sc.dep_hop.(k) in
+            (* a local ref stays in a register; a float field of the
+               scratch would box on every hop *)
+            let t = ref t_done in
+            for h = base to base + nh - 1 do
+              let hslot = sc.hop_slot.(h) in
               let free = sc.chan_free.(hslot) in
-              let t = sc.hop_t in
-              let start = if t > free then t else free in
-              let arr = start +. cost in
+              let start = if !t > free then !t else free in
+              let arr = start +. sc.hop_cost.(h) in
               sc.chan_free.(hslot) <- arr;
-              sc.hop_t <- arr
+              t := arr
             done;
-            sc.hop_t
+            !t
           end
         in
         let bytes = prob.dep_bytes.(k) in
@@ -1389,7 +1601,7 @@ let[@inline] do_done sc i t_done =
    constructor so the call frame carries no allocation; the wrappers
    below rebuild the [result] / [outcome] views for record-API
    callers. *)
-let sim_core sc mapping ~noise_sigma ~seed ~fallback ~iterations ~trace ~cutoff =
+let sim_core sc mapping ~noise_sigma ~seed ~fallback ~iterations ~trace ~cutoff ~retain =
   let prob = sc.prob in
   let bound_ok =
     (* same inline fast path as {!resolve_bound}, minus its [Ok]
@@ -1424,8 +1636,14 @@ let sim_core sc mapping ~noise_sigma ~seed ~fallback ~iterations ~trace ~cutoff 
        fresh [Rng.create seed] would, so reuse is bit-identical and
        each seed's draws happen once per search. *)
     sc.sim_sigma <- noise_sigma;
+    let has_trace = match trace with Some _ -> true | None -> false in
+    (* may this run read or commit the per-seed state?  A one-shot seed
+       ([retain] false) neither reads nor fills the tables, so it leaves
+       them as it found them *)
+    let record = retain && sc.incremental && (not fallback) && not has_trace in
+    if record then ensure_replay_capacity sc n_instances;
     let ci =
-      if sc.incremental && noise_sigma > 0.0 then
+      if retain && sc.incremental && noise_sigma > 0.0 then
         noise_cache_idx sc ~seed ~sigma:noise_sigma
       else -1
     in
@@ -1464,7 +1682,7 @@ let sim_core sc mapping ~noise_sigma ~seed ~fallback ~iterations ~trace ~cutoff 
       done
     done;
     let events = sc.events in
-    Fheap.reset events;
+    Event_queue.reset events;
     (* result planes *)
     Array.fill sc.r_task_times 0 (Array.length sc.r_task_times) 0.0;
     Array.fill sc.r_proc_busy 0 (Array.length sc.r_proc_busy) 0.0;
@@ -1475,12 +1693,11 @@ let sim_core sc mapping ~noise_sigma ~seed ~fallback ~iterations ~trace ~cutoff 
     sc.r_n_copies <- 0;
     sc.sim_iters <- iterations;
     sc.sim_trace <- trace;
-    let has_trace = match trace with Some _ -> true | None -> false in
     (* ---- incremental admission eligibility: how many leading pops
        of this seed's committed timeline are provably identical under
        [mapping]. ---- *)
     let ti =
-      if (not sc.incremental) || fallback || has_trace then -1
+      if not record then -1
       else begin
         let i = find_timeline sc seed in
         if i < 0 then -1
@@ -1611,19 +1828,19 @@ let sim_core sc mapping ~noise_sigma ~seed ~fallback ~iterations ~trace ~cutoff 
         let adm_seq = sc.adm_seq in
         for p = 0 to (2 * n_instances) - 1 do
           if adm_mark.(p) = run_id then
-            Fheap.push_with_seq events adm_prio.(p) p ~seq:adm_seq.(p)
+            Event_queue.push_with_seq events adm_prio.(p) p ~seq:adm_seq.(p)
         done;
-        Fheap.set_next_seq events sc.sim_vseq
+        Event_queue.set_next_seq events sc.sim_vseq
       end
     end
     else begin
       sc.sim_vmode <- false;
       for i = 0 to n_instances - 1 do
-        if indeg.(i) = 0 then Fheap.push events 0.0 (i lsl 1)
+        if indeg.(i) = 0 then Event_queue.push events 0.0 (i lsl 1)
       done
     end;
-    while (not !cut) && not (Fheap.is_empty events) do
-      let t = Fheap.top_prio events in
+    while (not !cut) && not (Event_queue.is_empty events) do
+      let t = Event_queue.top_prio events in
       if t >= cutoff then begin
         (* events pop in nondecreasing time order and every pending
            instance still has nonnegative work left, so the final
@@ -1632,9 +1849,9 @@ let sim_core sc mapping ~noise_sigma ~seed ~fallback ~iterations ~trace ~cutoff 
         sc.r_acc.(acc_cut) <- t
       end
       else begin
-        let payload = Fheap.top events in
-        Fheap.drop events;
-        pop_buf.(!n_popped) <- payload;
+        let payload = Event_queue.top events in
+        Event_queue.drop events;
+        if record then pop_buf.(!n_popped) <- payload;
         incr n_popped;
         let i = payload lsr 1 in
         if payload land 1 = 0 then begin
@@ -1646,7 +1863,7 @@ let sim_core sc mapping ~noise_sigma ~seed ~fallback ~iterations ~trace ~cutoff 
     done;
     if !cut then st_cut
     else begin
-      if sc.incremental && (not fallback) && not has_trace then
+      if record then
         commit_timeline sc ~seed ~mapping ~sigma:noise_sigma ~iters:iterations
           ~n_pops:!n_popped;
       sc.r_acc.(acc_per_iter) <- sc.r_acc.(acc_makespan) /. float_of_int iterations;
@@ -1673,7 +1890,10 @@ let result_of_planes sc =
 let simulate_bounded ?(noise_sigma = 0.03) ?(seed = 0) ?(fallback = false) ?iterations
     ?trace ?(cutoff = infinity) sc mapping =
   let iterations = Option.value iterations ~default:sc.prob.cgraph.Graph.iterations in
-  let st = sim_core sc mapping ~noise_sigma ~seed ~fallback ~iterations ~trace ~cutoff in
+  let st =
+    sim_core sc mapping ~noise_sigma ~seed ~fallback ~iterations ~trace ~cutoff
+      ~retain:true
+  in
   if st = st_error then Error (match sc.r_error with Some e -> e | None -> assert false)
   else if st = st_cut then Ok (Cut sc.r_acc.(acc_cut))
   else Ok (Finished (result_of_planes sc))
@@ -1690,8 +1910,9 @@ let simulate ?noise_sigma ?seed ?fallback ?iterations ?trace sc mapping =
 (* words end to end.                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let simulate_quiet sc mapping ~noise_sigma ~seed ~fallback ~iterations ~cutoff =
-  sim_core sc mapping ~noise_sigma ~seed ~fallback ~iterations ~trace:None ~cutoff
+let simulate_quiet ?(retain = true) sc mapping ~noise_sigma ~seed ~fallback ~iterations
+    ~cutoff =
+  sim_core sc mapping ~noise_sigma ~seed ~fallback ~iterations ~trace:None ~cutoff ~retain
 
 let[@inline] quiet_makespan sc = sc.r_acc.(acc_makespan)
 let[@inline] quiet_per_iteration sc = sc.r_acc.(acc_per_iter)
@@ -1736,17 +1957,21 @@ let static_floors sc iterations =
           let times = if prob.dep_carried.(k) then iterations - 1 else iterations in
           let tf = float_of_int times in
           let nh = -2 - chan in
-          let base = k * sc.hop_stride in
-          for h = 0 to nh - 1 do
-            let hslot = sc.hop_slot.(base + h) in
-            chan_busy.(hslot) <- chan_busy.(hslot) +. (sc.hop_cost.(base + h) *. tf)
+          let base = sc.dep_hop.(k) in
+          for h = base to base + nh - 1 do
+            let hslot = sc.hop_slot.(h) in
+            chan_busy.(hslot) <- chan_busy.(hslot) +. (sc.hop_cost.(h) *. tf)
           done;
           if sc.dep_cross.(k) then
             cross_bytes := !cross_bytes +. (prob.dep_bytes.(k) *. tf)
         end
       done
     done;
-  Array.iter (fun b -> if b > !lb then lb := b) chan_busy;
+  (* plain loops, not [Array.iter] closures: a float ref a closure
+     captures is a heap cell, and every update would box *)
+  for c = 0 to Array.length chan_busy - 1 do
+    if chan_busy.(c) > !lb then lb := chan_busy.(c)
+  done;
   (* Bisection floor: every byte crossing the canonical cut transits
      some cut link, so total cross traffic over total cut bandwidth
      bounds the busiest cut link's serial time (weighted mean <= max). *)
@@ -1766,11 +1991,10 @@ let static_floors sc iterations =
       let n = sc.slot_node.(slot) in
       disp.(n) <- disp.(n) +. prob.dispatch_cost
     done;
-    Array.iter
-      (fun d ->
-        let d = d *. iters_f in
-        if d > !lb then lb := d)
-      disp
+    for n = 0 to Array.length disp - 1 do
+      let d = disp.(n) *. iters_f in
+      if d > !lb then lb := d
+    done
   end;
   (* Critical-path floor over the bound dependence structure: every
      instance completes no earlier than ready + dispatch_cost (the
@@ -1789,23 +2013,23 @@ let static_floors sc iterations =
     let cp = sc.cp in
     Array.fill cp 0 spi 0.0;
     let cp_max = ref 0.0 in
-    Array.iter
-      (fun slot ->
-        let done_floor = cp.(slot) +. prob.dispatch_cost in
-        if done_floor > !cp_max then cp_max := done_floor;
-        for k = prob.dep_off.(slot) to prob.dep_off.(slot + 1) - 1 do
-          if not prob.dep_carried.(k) then begin
-            let arrival =
-              (* any copy (kind-level or routed) delays its consumer by
-                 at least its full noise-free cost *)
-              if sc.dep_chan.(k) <> -1 then done_floor +. sc.dep_cost.(k)
-              else done_floor
-            in
-            let dst = prob.dep_dst_slot.(k) in
-            if arrival > cp.(dst) then cp.(dst) <- arrival
-          end
-        done)
-      prob.topo_slots;
+    for j = 0 to spi - 1 do
+      let slot = prob.topo_slots.(j) in
+      let done_floor = cp.(slot) +. prob.dispatch_cost in
+      if done_floor > !cp_max then cp_max := done_floor;
+      for k = prob.dep_off.(slot) to prob.dep_off.(slot + 1) - 1 do
+        if not prob.dep_carried.(k) then begin
+          let arrival =
+            (* any copy (kind-level or routed) delays its consumer by
+               at least its full noise-free cost *)
+            if sc.dep_chan.(k) <> -1 then done_floor +. sc.dep_cost.(k)
+            else done_floor
+          in
+          let dst = prob.dep_dst_slot.(k) in
+          if arrival > cp.(dst) then cp.(dst) <- arrival
+        end
+      done
+    done;
     let floor = !cp_max +. (float_of_int (iterations - 1) *. prob.dispatch_cost) in
     if floor > !lb then lb := floor
   end;
@@ -1872,10 +2096,15 @@ let run_lower_bound ?(noise_sigma = 0.03) ?(seed = 0) ?(fallback = false) ?itera
           done
         end
         else begin
-          let rng = Rng.create seed in
-          for _iter = 1 to iterations do
+          (* the private buffer: any simulation refills it before reading *)
+          let n = iterations * spi in
+          ensure_capacity sc n;
+          let nbuf = sc.noise in
+          Rng.fill_lognormal (Rng.create seed) ~sigma:noise_sigma nbuf ~pos:0 ~len:n;
+          for iter = 0 to iterations - 1 do
+            let base = iter * spi in
             for slot = 0 to spi - 1 do
-              let x = Rng.lognormal rng ~sigma:noise_sigma in
+              let x = nbuf.(base + slot) in
               let pid = sc.slot_pid.(slot) in
               busy.(pid) <- busy.(pid) +. (sc.slot_dur.(slot) *. x)
             done
@@ -1888,7 +2117,9 @@ let run_lower_bound ?(noise_sigma = 0.03) ?(seed = 0) ?(fallback = false) ?itera
           busy.(pid) <- busy.(pid) +. (sc.slot_dur.(slot) *. iters_f)
         done;
       let lb = ref 0.0 in
-      Array.iter (fun b -> if b > !lb then lb := b) busy;
+      for p = 0 to Array.length busy - 1 do
+        if busy.(p) > !lb then lb := busy.(p)
+      done;
       let s = static_floors sc iterations in
       if s > !lb then lb := s;
       Ok !lb

@@ -76,6 +76,10 @@ val compiled_of_scratch : scratch -> compiled
 val compiled_machine : compiled -> Machine.t
 val compiled_graph : compiled -> Graph.t
 
+val slots_per_iteration : compiled -> int
+(** Task instances per iteration of the graph (the sum of the tasks'
+    group sizes). *)
+
 val compiled_words : compiled -> int
 (** Heap words reachable from the compiled problem — the weight the
     serve daemon's LRU compile cache charges an entry (multiply by
@@ -126,16 +130,19 @@ val simulate_bounded :
 
     [simulate_quiet] is {!simulate_bounded} minus every allocation: the
     run's outputs are written into preallocated planes inside the
-    scratch and the call returns a status code.  In the search's steady
-    state — bind cached (same mapping re-run under a new noise seed or
-    re-admitted over a committed timeline), noise stream cached,
-    incremental replay on — a candidate costs {e zero} minor-heap words
-    (pinned by test/test_alloc.ml), which keeps the GC silent across
-    millions of candidates.  Decisions, floats and RNG draws are
+    scratch and the call returns a status code.  Once the bind is cached
+    (same mapping re-run, or re-admitted over a committed timeline) and
+    the run's noise is drawn, a simulation costs {e zero} minor-heap
+    words, on the admission path and on the live event loop alike; a
+    run under a fresh noise seed costs a few words per iteration (both
+    pinned by test/test_alloc.ml).  That keeps the GC silent across
+    millions of candidates, and lets runs on several domains proceed
+    without stop-the-world minor collections.  Decisions, floats and RNG draws are
     bit-identical to {!simulate_bounded}; the two share one event
     loop. *)
 
 val simulate_quiet :
+  ?retain:bool ->
   scratch ->
   Mapping.t ->
   noise_sigma:float ->
@@ -147,7 +154,14 @@ val simulate_quiet :
 (** Returns {!st_finished}, {!st_cut} or {!st_error}.  The scalar
     accessors below are valid until the next simulation on the same
     scratch; {!quiet_result} materializes a full {!result} record (and
-    allocates — use it off the hot path only). *)
+    allocates — use it off the hot path only).
+
+    [retain] (default true) lets the run use and extend the scratch's
+    per-seed state: the shared noise stream and the committed timeline
+    of [seed] (see {!section-incremental}).  Pass [false] for a seed no
+    later run will reuse, such as the final protocol's: the run then
+    draws its noise privately and commits nothing, with the same
+    result. *)
 
 val st_finished : int
 val st_cut : int
@@ -200,7 +214,7 @@ val run_lower_bound :
     {!simulate}'s, and the resolved binding is cached for a subsequent
     simulation of the same mapping. *)
 
-(** {1 Incremental re-simulation}
+(** {1:incremental Incremental re-simulation}
 
     A hill-climbing candidate differs from its incumbent in 1–2 mapping
     coordinates, which perturbs only a bounded region of the schedule.
@@ -287,6 +301,58 @@ val bound_mapping : scratch -> Mapping.t option
 (** The mapping of the currently cached bind, if any.  Batch evaluation
     sorts candidates by diff distance to this mapping so consecutive
     runs maximize patch locality and cone replay. *)
+
+(** {1 Event queue}
+
+    The simulator's event queue: a monomorphic binary min-heap with a
+    float priority and an int payload.  Entries live in three flat
+    arrays (priority, insertion sequence, payload), so pushing and
+    popping never allocate — unlike the polymorphic {!Heap}, which
+    boxes an entry record per push.  Ties on priority pop in insertion order,
+    exactly like {!Heap}, which is what makes a compiled simulation
+    bit-identical to the reference interpreter.
+
+    It is defined inside [Exec] rather than in a module of its own: the
+    dev profile compiles with [-opaque], which stops inlining across
+    modules, and a float that crosses a call that is not inlined is
+    boxed.  Exported for tests; the event loop uses it directly. *)
+
+module Event_queue : sig
+  type t
+
+  val create : ?capacity:int -> unit -> t
+  (** [capacity] (default 16) pre-sizes the backing arrays. *)
+
+  val is_empty : t -> bool
+
+  val push : t -> float -> int -> unit
+  (** [push h prio payload] inserts [payload] with priority [prio]. *)
+
+  val top_prio : t -> float
+  (** Priority of the minimum entry.  Undefined (reads stale storage)
+      on an empty heap — guard with {!is_empty}. *)
+
+  val top : t -> int
+  (** Payload of the minimum entry.  Same caveat as {!top_prio}. *)
+
+  val drop : t -> unit
+  (** Removes the minimum entry.  No-op on an empty heap. *)
+
+  val reset : t -> unit
+  (** Empties the heap and rewinds the insertion sequence to 0, keeping
+      the backing arrays — the per-simulation reset. *)
+
+  val push_with_seq : t -> float -> int -> seq:int -> unit
+  (** Inserts with an explicit insertion sequence instead of the
+      internal counter (which it does not advance — pair with
+      {!set_next_seq}).  Incremental replay rebuilds the queue as it
+      stood mid-simulation: pending events re-enter with the sequence
+      numbers the full run gave them, so every later tie breaks the
+      same way. *)
+
+  val set_next_seq : t -> int -> unit
+  (** Overrides the counter subsequent {!push}es draw from. *)
+end
 
 val run :
   ?noise_sigma:float ->

@@ -9,7 +9,7 @@ let of_state s = { state = s }
 let set_state t s = t.state <- s
 
 (* SplitMix64 output function: two xor-shift-multiply rounds. *)
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -50,6 +50,32 @@ let gaussian t =
   draw ()
 
 let lognormal t ~sigma = exp (sigma *. gaussian t)
+
+(* [lognormal] [len] times, with the state in a local: every per-draw
+   value stays unboxed, where the one-draw path boxes its state and its
+   intermediate floats on each call.  Same arithmetic in the same
+   order, so the stream and the final state are bit-identical. *)
+let fill_lognormal t ~sigma buf ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > Array.length buf then
+    invalid_arg "Rng.fill_lognormal: range out of bounds";
+  let s = ref t.state in
+  for i = pos to pos + len - 1 do
+    let u1 = ref 0.0 in
+    let again = ref true in
+    while !again do
+      s := Int64.add !s golden_gamma;
+      let u = Int64.to_float (Int64.shift_right_logical (mix !s) 11) /. 9007199254740992.0 in
+      if u > 1e-300 then begin
+        u1 := u;
+        again := false
+      end
+    done;
+    s := Int64.add !s golden_gamma;
+    let u2 = Int64.to_float (Int64.shift_right_logical (mix !s) 11) /. 9007199254740992.0 in
+    Array.unsafe_set buf i
+      (exp (sigma *. (sqrt (-2.0 *. log !u1) *. cos (2.0 *. Float.pi *. u2))))
+  done;
+  t.state <- !s
 
 let choose t a =
   if Array.length a = 0 then invalid_arg "Rng.choose: empty array";

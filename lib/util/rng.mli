@@ -54,6 +54,14 @@ val lognormal : t -> sigma:float -> float
     noise factor used by the simulator's measurement-noise model.  Its
     median is 1.0. *)
 
+val fill_lognormal : t -> sigma:float -> float array -> pos:int -> len:int -> unit
+(** [fill_lognormal t ~sigma buf ~pos ~len] stores [len] successive
+    {!lognormal} draws in [buf.(pos) .. buf.(pos + len - 1)].  The values
+    and the state of [t] afterwards are bit-identical to [len] calls of
+    [lognormal t ~sigma]; unlike those calls it allocates nothing per
+    draw.
+    @raise Invalid_argument if the range is outside [buf]. *)
+
 val choose : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
 

@@ -1,11 +1,22 @@
 (* Allocation discipline of the hot evaluation path.
 
-   Two gates:
+   The gates:
 
    - the event loop proper: once the scratch is warm (bind cached,
      noise stream cached, heaps grown), re-simulating a candidate
      allocates exactly zero minor-heap words — the property Exec's
-     quiet interface documents and the GC-quiet steady state rests on;
+     quiet interface documents and the GC-quiet steady state rests on.
+     Checked twice: on the admission path (a committed timeline replays
+     the run) and on the live heap loop with incremental replay off, on
+     a routed machine, where every event goes through the queue and
+     every routed copy walks its hops;
+
+   - a run under a fresh noise seed: its noise draws allocate O(1)
+     words, not O(instances) — the final protocol's runs, spread over
+     domains, would otherwise trigger stop-the-world minor collections;
+
+   - the weight of a worker scratch on a 1024-node grid: hop rows are
+     stored in proportion to the hops actually bound;
 
    - the whole search: minor words per suggested candidate of a full
      batched CCD run stays within the budget committed in
@@ -59,6 +70,66 @@ let test_quiet_steady_state_zero_alloc () =
       Alcotest.failf "steady-state simulate_quiet allocated %.0f minor words (trial %d)"
         w trial
   done
+
+let grid spec =
+  match Presets.of_spec spec ~nodes:1 with Ok m -> m | Error e -> Alcotest.fail e
+
+(* A scratch with incremental replay off, warmed on the default mapping
+   of [app] on [spec]. *)
+let live_scratch spec (app : App.t) =
+  let machine = grid spec in
+  let input = List.hd (app.App.inputs ~nodes:machine.Machine.nodes) in
+  let g = app.App.graph ~nodes:machine.Machine.nodes ~input in
+  let c = Exec.compile machine g in
+  let sc = Exec.scratch c in
+  Exec.set_incremental sc false;
+  let m = Mapping.default_start g machine in
+  let run ~sigma seed =
+    Exec.simulate_quiet sc m ~noise_sigma:sigma ~seed ~fallback:false
+      ~iterations:g.Graph.iterations ~cutoff:infinity
+  in
+  Alcotest.(check int) "finished" Exec.st_finished (run ~sigma:0.0 1);
+  (sc, run, g.Graph.iterations * Exec.slots_per_iteration c)
+
+let test_live_loop_zero_alloc () =
+  skip_unless_native ();
+  let sc, run, _ = live_scratch "grid:4x4" App.stencil in
+  if (Exec.quiet_result sc).Exec.n_copies = 0 then
+    Alcotest.fail "default mapping copies nothing: the gate is vacuous";
+  for trial = 1 to 20 do
+    let w0 = Gc.minor_words () in
+    let st = run ~sigma:0.0 1 in
+    let w = Gc.minor_words () -. w0 in
+    if st <> Exec.st_finished then Alcotest.failf "simulation failed (trial %d)" trial;
+    if w <> 0.0 then
+      Alcotest.failf "live-loop simulate_quiet allocated %.0f minor words (trial %d)" w
+        trial
+  done
+
+(* Each fresh seed builds one generator and draws its noise in bulk, one
+   draw call per iteration reached: a few words per iteration, whatever
+   the instance count. *)
+let test_fresh_seed_alloc () =
+  skip_unless_native ();
+  let _, run, instances = live_scratch "grid:4x4" App.stencil in
+  ignore (run ~sigma:0.03 2);
+  for seed = 3 to 12 do
+    let w0 = Gc.minor_words () in
+    let st = run ~sigma:0.03 seed in
+    let w = Gc.minor_words () -. w0 in
+    if st <> Exec.st_finished then Alcotest.failf "simulation failed (seed %d)" seed;
+    if w > 64.0 then
+      Alcotest.failf "a fresh-seed run of %d instances allocated %.0f minor words" instances
+        w
+  done
+
+(* A worker scratch (incremental off) on grid:32x32 after one run of the
+   default mapping, compiled problem included. *)
+let test_grid_scratch_weight () =
+  let sc, _, _ = live_scratch "grid:32x32" App.circuit in
+  let mb = float_of_int (Obj.reachable_words (Obj.repr sc) * (Sys.word_size / 8)) /. 1e6 in
+  if mb >= 10.0 then
+    Alcotest.failf "a grid:32x32 Circuit scratch weighs %.1f MB (limit 10 MB)" mb
 
 (* Budget gate: a full batched CCD search's minor-heap traffic per
    suggested candidate, measured over the second (steady-state) search
@@ -118,4 +189,10 @@ let suite =
       test_quiet_steady_state_zero_alloc;
     Alcotest.test_case "search minor words per candidate within budget" `Quick
       test_search_alloc_budget;
+    Alcotest.test_case "routed live loop allocates zero minor words" `Quick
+      test_live_loop_zero_alloc;
+    Alcotest.test_case "fresh noise seed allocates O(1) words" `Quick
+      test_fresh_seed_alloc;
+    Alcotest.test_case "grid:32x32 scratch weighs under 10 MB" `Quick
+      test_grid_scratch_weight;
   ]

@@ -53,41 +53,43 @@ let test_reset_rewinds_ties () =
   let second = run_ties h in
   Alcotest.(check (list string)) "same order after reset" first second
 
-let drain_fheap h =
+module Q = Exec.Event_queue
+
+let drain_event_queue h =
   let rec go acc =
-    if Fheap.is_empty h then List.rev acc
+    if Q.is_empty h then List.rev acc
     else begin
-      let p = Fheap.top_prio h and v = Fheap.top h in
-      Fheap.drop h;
+      let p = Q.top_prio h and v = Q.top h in
+      Q.drop h;
       go ((p, v) :: acc)
     end
   in
   go []
 
-let test_fheap_ordering_and_ties () =
-  let h = Fheap.create ~capacity:2 () in
-  List.iter (fun (p, v) -> Fheap.push h p v) [ (3.0, 30); (1.0, 10); (1.0, 11); (2.0, 20) ];
+let test_event_queue_ordering_and_ties () =
+  let h = Q.create ~capacity:2 () in
+  List.iter (fun (p, v) -> Q.push h p v) [ (3.0, 30); (1.0, 10); (1.0, 11); (2.0, 20) ];
   Alcotest.(check (list (pair (float 0.0) int)))
     "sorted, FIFO on ties"
     [ (1.0, 10); (1.0, 11); (2.0, 20); (3.0, 30) ]
-    (drain_fheap h);
-  Fheap.reset h;
-  Alcotest.(check bool) "empty after reset" true (Fheap.is_empty h)
+    (drain_event_queue h);
+  Q.reset h;
+  Alcotest.(check bool) "empty after reset" true (Q.is_empty h)
 
-let prop_fheap_matches_heap =
-  QCheck.Test.make ~name:"fheap pops in the same order as the boxed heap"
+let prop_event_queue_matches_heap =
+  QCheck.Test.make ~name:"event queue pops in the same order as the boxed heap"
     QCheck.(list (pair (float_range 0.0 100.0) small_nat))
     (fun entries ->
-      let fh = Fheap.create () and h = Heap.create () in
+      let fh = Q.create () and h = Heap.create () in
       List.iter
         (fun (p, v) ->
-          Fheap.push fh p v;
+          Q.push fh p v;
           Heap.push h p v)
         entries;
       let rec drain acc =
         match Heap.pop h with None -> List.rev acc | Some (p, v) -> drain ((p, v) :: acc)
       in
-      drain [] = drain_fheap fh)
+      drain [] = drain_event_queue fh)
 
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap pops in non-decreasing priority order"
@@ -121,8 +123,9 @@ let suite =
     Alcotest.test_case "interleaved" `Quick test_interleaved;
     Alcotest.test_case "clear" `Quick test_clear;
     Alcotest.test_case "reset rewinds ties" `Quick test_reset_rewinds_ties;
-    Alcotest.test_case "fheap ordering and ties" `Quick test_fheap_ordering_and_ties;
+    Alcotest.test_case "event queue ordering and ties" `Quick
+      test_event_queue_ordering_and_ties;
     QCheck_alcotest.to_alcotest prop_heap_sorts;
     QCheck_alcotest.to_alcotest prop_heap_length;
-    QCheck_alcotest.to_alcotest prop_fheap_matches_heap;
+    QCheck_alcotest.to_alcotest prop_event_queue_matches_heap;
   ]

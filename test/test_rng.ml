@@ -99,6 +99,41 @@ let prop_int_uniformish =
       done;
       Array.for_all Fun.id seen)
 
+(* The bulk fill is the simulator's noise source: it must reproduce the
+   one-draw stream bit for bit and leave the generator in the same
+   state, whatever the seed, sigma, buffer offset and length — and touch
+   nothing outside its range. *)
+let prop_fill_lognormal_identity =
+  QCheck.Test.make ~count:300 ~name:"fill_lognormal = repeated lognormal, bit for bit"
+    QCheck.(
+      quad int (float_range 0.0 2.0) (int_bound 40) (pair (int_bound 300) (int_bound 40)))
+    (fun (seed, sigma, skip, (len, pos)) ->
+      let a = Rng.create seed and b = Rng.create seed in
+      (* start both streams somewhere past the seed *)
+      for _ = 1 to skip do
+        ignore (Rng.bits64 a);
+        ignore (Rng.bits64 b)
+      done;
+      let buf = Array.make (pos + len + 3) nan in
+      Rng.fill_lognormal a ~sigma buf ~pos ~len;
+      let expected = Array.init len (fun _ -> Rng.lognormal b ~sigma) in
+      let bits = Int64.bits_of_float in
+      let ok = ref (Rng.state a = Rng.state b) in
+      Array.iteri (fun i x -> if bits buf.(pos + i) <> bits x then ok := false) expected;
+      for i = 0 to pos - 1 do
+        if not (Float.is_nan buf.(i)) then ok := false
+      done;
+      for i = pos + len to Array.length buf - 1 do
+        if not (Float.is_nan buf.(i)) then ok := false
+      done;
+      !ok)
+
+let test_fill_lognormal_bounds () =
+  let r = Rng.create 1 in
+  Alcotest.check_raises "range past the end"
+    (Invalid_argument "Rng.fill_lognormal: range out of bounds") (fun () ->
+      Rng.fill_lognormal r ~sigma:0.1 (Array.make 4 0.0) ~pos:2 ~len:3)
+
 let suite =
   [
     Alcotest.test_case "determinism" `Quick test_determinism;
@@ -113,4 +148,6 @@ let suite =
     Alcotest.test_case "choose" `Quick test_choose;
     Alcotest.test_case "shuffle permutation" `Quick test_shuffle_permutation;
     QCheck_alcotest.to_alcotest prop_int_uniformish;
+    QCheck_alcotest.to_alcotest prop_fill_lognormal_identity;
+    Alcotest.test_case "fill_lognormal bounds" `Quick test_fill_lognormal_bounds;
   ]

@@ -148,9 +148,88 @@ let test_bad_checkpoints () =
           ("mismatched", other, good, text, "fingerprint mismatch", "fingerprint mismatch");
         ])
 
+(* The final protocol deals its runs across domains; the answer must not
+   depend on how many.  Three evaluators run the same search on a small
+   routed grid; the final protocol over the 3 best db entries then runs
+   on two domains, on one, and as a reference rebuilt from plain
+   Exec.simulate calls: one fresh scratch with incremental replay on,
+   one seed drawn per run in order, each candidate's list consed newest
+   first.  All three must pick the same mapping with %h-equal run
+   lists, and a following Evaluator.measure must agree too — proof that
+   the seed counter advanced by the same total. *)
+let test_parallel_final_protocol () =
+  let machine =
+    match Presets.of_spec "grid:4x4" ~nodes:1 with Ok m -> m | Error e -> Alcotest.fail e
+  in
+  let g =
+    App.stencil.App.graph ~nodes:machine.Machine.nodes
+      ~input:(List.hd (App.stencil.App.inputs ~nodes:machine.Machine.nodes))
+  in
+  let noise_sigma = 0.03 in
+  let searched () =
+    let ev = Evaluator.create ~runs:2 ~prune:false ~noise_sigma ~seed:5 machine g in
+    let o =
+      Engine.run ~budget:(Budget.make ~max_trials:12 ())
+        ~start:(Mapping.default_start g machine) ev
+        (Ccd.make ~rotations:2 ev)
+    in
+    (ev, o)
+  in
+  let final_top = 3 and final_runs = 7 in
+  let protocol domains =
+    let ev, o = searched () in
+    Alcotest.(check bool) "db holds the top 3" true (Profiles_db.size (Evaluator.db ev) >= 3);
+    let best, runs =
+      Driver.final_protocol ~final_top ~final_runs ~domains ev ~search_best:o.Engine.best
+        ~search_perf:o.Engine.perf
+    in
+    (ev, best, runs)
+  in
+  let reference () =
+    let ev, _ = searched () in
+    let sc = Exec.scratch (Exec.compile machine g) in
+    Exec.set_incremental sc true;
+    let run m =
+      let seed = Evaluator.reserve_seeds ev 1 in
+      match Exec.simulate ~noise_sigma ~seed sc m with
+      | Ok r -> r.Exec.per_iteration
+      | Error e -> Alcotest.fail (Placement.error_to_string e)
+    in
+    let cands =
+      List.map
+        (fun e ->
+          let m = e.Profiles_db.mapping in
+          let rec go n acc = if n = 0 then acc else go (n - 1) (run m :: acc) in
+          (m, go final_runs []))
+        (Profiles_db.top (Evaluator.db ev) final_top)
+    in
+    let best, runs =
+      List.fold_left
+        (fun ((_, br) as acc) ((_, r) as c) -> if Stats.mean r < Stats.mean br then c else acc)
+        (List.hd cands) (List.tl cands)
+    in
+    (ev, best, runs)
+  in
+  let ev2, b2, r2 = protocol 2 in
+  let ev1, b1, r1 = protocol 1 in
+  let evl, bl, rl = reference () in
+  let key = Mapping.canonical_key in
+  let hexes = List.map hex in
+  Alcotest.(check int) "runs per candidate" final_runs (List.length r2);
+  Alcotest.(check string) "2 domains = 1 domain: mapping" (key b1) (key b2);
+  Alcotest.(check (list string)) "2 domains = 1 domain: runs" (hexes r1) (hexes r2);
+  Alcotest.(check string) "1 domain = reference: mapping" (key bl) (key b1);
+  Alcotest.(check (list string)) "1 domain = reference: runs" (hexes rl) (hexes r1);
+  let after ev = hexes (Evaluator.measure ev ~runs:3 b1) in
+  let a2 = after ev2 and a1 = after ev1 and al = after evl in
+  Alcotest.(check (list string)) "seed counter: 2 domains = 1" a1 a2;
+  Alcotest.(check (list string)) "seed counter: 1 domain = reference" al a1
+
 let suite =
   [
     Alcotest.test_case "sliced = unsliced (CCD, five apps)" `Quick
       test_sliced_equals_unsliced;
     Alcotest.test_case "bad checkpoints are refused" `Quick test_bad_checkpoints;
+    Alcotest.test_case "parallel final protocol = sequential" `Quick
+      test_parallel_final_protocol;
   ]

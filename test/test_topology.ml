@@ -449,6 +449,49 @@ let test_routed_lower_bound_holds () =
         ])
     [ "grid:4x4"; "torus:3x3"; "fattree:2:2"; "grid:4x4:free"; "direct:4" ]
 
+(* Hop rows live in a pool that a full bind rebuilds and a delta bind
+   appends to (and rebuilds once orphaned rows pile up).  A scratch that
+   follows a long neighbour chain through delta binds must simulate and
+   bound every mapping exactly like a fresh scratch that binds it in
+   full. *)
+let test_routed_delta_bind_identity () =
+  let bits = Int64.bits_of_float in
+  List.iter
+    (fun (spec, (app : App.t)) ->
+      let machine = topo_machine spec in
+      let input = List.hd (app.App.inputs ~nodes:machine.Machine.nodes) in
+      let g = app.App.graph ~nodes:machine.Machine.nodes ~input in
+      let c = Exec.compile machine g in
+      let sc = Exec.scratch c in
+      let space = Space.make g machine in
+      let rng = Rng.create 9 in
+      let m = ref (Mapping.default_start g machine) in
+      for step = 1 to 80 do
+        let name = Printf.sprintf "%s %s step %d" spec app.App.app_name step in
+        let fresh = Exec.scratch c in
+        (match
+           ( Exec.simulate ~noise_sigma:0.03 ~seed:step sc !m,
+             Exec.simulate ~noise_sigma:0.03 ~seed:step fresh !m )
+         with
+        | Ok a, Ok b ->
+            if bits a.Exec.makespan <> bits b.Exec.makespan then
+              Alcotest.failf "%s: makespan %h (delta) vs %h (full)" name a.Exec.makespan
+                b.Exec.makespan;
+            (match (Exec.static_lower_bound sc !m, Exec.static_lower_bound fresh !m) with
+            | Ok x, Ok y when bits x = bits y -> ()
+            | _ -> Alcotest.failf "%s: static floors differ" name)
+        | Error _, Error _ -> ()
+        | _ -> Alcotest.failf "%s: one side failed" name);
+        m := Test_incremental.mutate g space rng !m
+      done;
+      Alcotest.(check bool) (spec ^ ": chain took delta binds") true (Exec.delta_binds sc > 0))
+    [
+      ("grid:4x4", App.stencil);
+      ("grid:4x4", App.circuit);
+      ("torus:3x3", App.circuit);
+      ("fattree:2:2", App.stencil);
+    ]
+
 let suite =
   [
     Alcotest.test_case "routes match BFS oracle" `Quick test_routes_match_bfs;
@@ -471,4 +514,6 @@ let suite =
     Alcotest.test_case "link contention changes the best-found mapping" `Quick
       test_contention_flips_search;
     Alcotest.test_case "routed static floor holds" `Quick test_routed_lower_bound_holds;
+    Alcotest.test_case "routed delta binds = full binds" `Quick
+      test_routed_delta_bind_identity;
   ]
