@@ -20,10 +20,16 @@ let remove_key t key = Hashtbl.remove t.tbl key
 
 let size t = Hashtbl.length t.tbl
 
+(* Ties in perf are broken by canonical key, never by hash-table order:
+   [load] rebuilds the table in a different order than the search that
+   [save]d it filled, and a resumed search must hand the final protocol
+   the same list as the uninterrupted one. *)
 let top t k =
-  Hashtbl.fold (fun _ e acc -> e :: acc) t.tbl []
-  |> List.sort (fun a b -> compare a.perf b.perf)
+  Hashtbl.fold (fun key e acc -> (key, e) :: acc) t.tbl []
+  |> List.sort (fun (ka, a) (kb, b) ->
+         match compare a.perf b.perf with 0 -> String.compare ka kb | c -> c)
   |> List.filteri (fun i _ -> i < k)
+  |> List.map snd
 
 let best t = match top t 1 with [] -> None | e :: _ -> Some e
 
