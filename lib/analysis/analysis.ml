@@ -505,6 +505,19 @@ let mem_kinds_present (machine : Machine.t) =
       | Kinds.Frame_buffer -> machine.Machine.node.Machine.gpus > 0)
     Kinds.all_mem_kinds
 
+(* [Machine.channel_between] depends only on memory identity, node
+   equality, kinds and sockets, and [Machine.make] lays out identical
+   nodes node-major.  So the pairs (node 0) x (nodes 0 and 1), in the
+   all-pairs scan's nested order, meet every channel class and every
+   (kind, kind) asymmetry of the whole machine, each first encounter in
+   the same order: O(memories per node ^ 2) instead of O(memories ^ 2),
+   4 M pairs fewer on grid:32x32. *)
+let channel_pairs (machine : Machine.t) =
+  let mems = Array.to_list machine.Machine.memories in
+  let on nodes = List.filter (fun (m : Machine.memory) -> m.Machine.mnode < nodes) mems in
+  let near = on 2 in
+  List.concat_map (fun a -> List.map (fun b -> (a, b)) near) (on 1)
+
 let machine_lint (machine : Machine.t) =
   let diags = ref [] in
   let add severity code subject fmt =
@@ -537,36 +550,32 @@ let machine_lint (machine : Machine.t) =
   (* channel lint over representative memory pairs: every channel class
      in use must have positive finite cost structure, and the channel
      relation must be symmetric *)
-  let mems = machine.Machine.memories in
   let seen = Hashtbl.create 16 in
-  Array.iter
-    (fun (a : Machine.memory) ->
-      Array.iter
-        (fun (b : Machine.memory) ->
-          let ch = Machine.channel_between machine a b in
-          let rev = Machine.channel_between machine b a in
-          if rev <> ch && not (Hashtbl.mem seen (`Asym (a.Machine.mkind, b.Machine.mkind)))
-          then begin
-            Hashtbl.add seen (`Asym (a.Machine.mkind, b.Machine.mkind)) ();
-            add Warning "asymmetric-channel" "machine"
-              "%s->%s and %s->%s use different channels"
-              (Kinds.mem_kind_to_string a.Machine.mkind)
-              (Kinds.mem_kind_to_string b.Machine.mkind)
-              (Kinds.mem_kind_to_string b.Machine.mkind)
-              (Kinds.mem_kind_to_string a.Machine.mkind)
-          end;
-          if ch <> Machine.Same_memory && not (Hashtbl.mem seen (`Chan ch)) then begin
-            Hashtbl.add seen (`Chan ch) ();
-            let bw = Machine.channel_bandwidth machine ch in
-            if not (bw > 0.0) then
-              add Error "dead-channel" "machine"
-                "channel %s->%s has non-positive bandwidth %g"
-                (Kinds.mem_kind_to_string a.Machine.mkind)
-                (Kinds.mem_kind_to_string b.Machine.mkind)
-                bw
-          end)
-        mems)
-    mems;
+  List.iter
+    (fun ((a : Machine.memory), (b : Machine.memory)) ->
+      let ch = Machine.channel_between machine a b in
+      let rev = Machine.channel_between machine b a in
+      if rev <> ch && not (Hashtbl.mem seen (`Asym (a.Machine.mkind, b.Machine.mkind)))
+      then begin
+        Hashtbl.add seen (`Asym (a.Machine.mkind, b.Machine.mkind)) ();
+        add Warning "asymmetric-channel" "machine"
+          "%s->%s and %s->%s use different channels"
+          (Kinds.mem_kind_to_string a.Machine.mkind)
+          (Kinds.mem_kind_to_string b.Machine.mkind)
+          (Kinds.mem_kind_to_string b.Machine.mkind)
+          (Kinds.mem_kind_to_string a.Machine.mkind)
+      end;
+      if ch <> Machine.Same_memory && not (Hashtbl.mem seen (`Chan ch)) then begin
+        Hashtbl.add seen (`Chan ch) ();
+        let bw = Machine.channel_bandwidth machine ch in
+        if not (bw > 0.0) then
+          add Error "dead-channel" "machine"
+            "channel %s->%s has non-positive bandwidth %g"
+            (Kinds.mem_kind_to_string a.Machine.mkind)
+            (Kinds.mem_kind_to_string b.Machine.mkind)
+            bw
+      end)
+    (channel_pairs machine);
   (* interconnect lint: a disconnected topology silently falls back to
      the kind-level Network charge for the unreachable pairs, and a
      zero-bandwidth link makes every route through it infinitely slow *)

@@ -49,6 +49,14 @@ type diagnostic = {
   message : string;
 }
 
+val channel_pairs : Machine.t -> (Machine.memory * Machine.memory) list
+(** The memory pairs the machine lint checks copy channels over: node
+    0's memories against those of nodes 0 and 1, in the order of the
+    all-pairs scan.  Nodes are identical and channels depend only on
+    memory identity, node equality, kinds and sockets, so these pairs
+    meet every channel class and asymmetry of the machine, first
+    encounters in all-pairs order. *)
+
 (** {1 Coordinate domains} *)
 
 type domains

@@ -15,7 +15,7 @@ type 'a entry = {
 type 'a t = {
   tbl : (string, 'a entry) Hashtbl.t;
   max_entries : int;
-  max_bytes : int;
+  mutable max_bytes : int;
   mutable head : 'a entry option;  (* most recently used *)
   mutable tail : 'a entry option;  (* least recently used *)
   mutable bytes : int;
@@ -84,6 +84,10 @@ let put t key value ~weight =
   Hashtbl.replace t.tbl key e;
   t.bytes <- t.bytes + weight;
   push_front t e;
+  evict_to_fit t
+
+let set_max_bytes t max_bytes =
+  t.max_bytes <- max_bytes;
   evict_to_fit t
 
 let mem t key = Hashtbl.mem t.tbl key

@@ -22,6 +22,10 @@ val find : 'a t -> string -> 'a option
 val put : 'a t -> string -> 'a -> weight:int -> unit
 (** Insert or replace, as most recent; evicts LRU entries as needed. *)
 
+val set_max_bytes : 'a t -> int -> unit
+(** Move the weight cap; lowering it evicts least recently used entries
+    at once, under the same rule as {!put}. *)
+
 val mem : 'a t -> string -> bool
 (** Presence test without touching recency or hit/miss counters. *)
 

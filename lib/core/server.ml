@@ -12,7 +12,8 @@
      construction and fingerprinting, so a memo hit is pure lookups.
    - compile cache: LRU of {!Exec.compiled} keyed (machine fp, graph fp),
      weighed by {!Exec.compiled_words}.  Workers share the immutable
-     compiled problem and build a private scratch per slice.
+     compiled problem; a job's first slice (or a slice resumed from an
+     envelope) builds a private scratch over it.
    - result memo: LRU keyed (machine fp, graph fp, {!Slice.fingerprint});
      an exact repeat is answered at submit time, bit-equal to the run
      that populated the entry, without touching the simulator.
@@ -21,9 +22,20 @@
      from it instead of the default/HEFT start.
    - profiles pool: measured-run databases per (machine fp, graph fp,
      eval fingerprint), merged after every slice, seeding fresh starts.
-     Resumed slices always restore their database from the checkpoint
-     envelope, never the pool — per-job decision identity survives
-     daemon restarts.
+     A job's later slices never read the pool: they continue the job's
+     own session, or restore its database from the checkpoint envelope
+     — per-job decision identity survives daemon restarts.
+
+   Live sessions: a paused job keeps its {!Slice.progress} — the live
+   search session, scratch caches and all — and its next slice
+   continues it ({!Slice.continue}), so a job compiles once and never
+   parses its own envelope.  Parked sessions share the compile cache's
+   byte budget: a session that does not fit beside the compile cache and
+   the other parked sessions is printed to its envelope and dropped,
+   and its job resumes from the envelope as after a restart.  Dropping
+   the newest session is the right victim: the FIFO runs it after every
+   other parked job.  The compile cache's own cap shrinks by the bytes
+   parked, so the two together stay within the budget.
 
    Durability: each accepted job persists a meta file (its request, with
    the workload inlined as codec text) and, after every paused slice, a
@@ -45,7 +57,9 @@ type job = {
   jb_pool_key : string;  (* pair / eval fingerprint *)
   jb_warm : Mapping.t option;  (* incumbent seed, first slice only *)
   mutable jb_state : Wire.job_state;
-  mutable jb_ckpt : string option;
+  mutable jb_ckpt : string option;   (* envelope to resume from *)
+  mutable jb_live : (Slice.progress * int) option;
+      (* parked session and the bytes it is charged; wins over [jb_ckpt] *)
   mutable jb_trials : int;
   mutable jb_best : float;  (* best perf so far; nan until first slice *)
   mutable jb_result : Wire.result_payload option;
@@ -65,6 +79,10 @@ type t = {
   pool : (string, string) Hashtbl.t;
   slice_trials : int;
   state_dir : string option;
+  budget_bytes : int;  (* compile cache + parked sessions *)
+  mutable live_sessions : int;
+  mutable live_bytes : int;
+  mutable live_evictions : int;
   mutable stopping : bool;
   mutable requests : int;
   mutable warm_starts : int;
@@ -162,6 +180,10 @@ let create ?(slice_trials = 40) ?(compile_entries = 32)
     pool = Hashtbl.create 64;
     slice_trials;
     state_dir;
+    budget_bytes = compile_bytes;
+    live_sessions = 0;
+    live_bytes = 0;
+    live_evictions = 0;
     stopping = false;
     requests = 0;
     warm_starts = 0;
@@ -308,14 +330,46 @@ let run_slice_inner t j scratch =
       Slice.start ~scratch ?db ?warm_start:j.jb_warm ~slice_trials:t.slice_trials
         j.jb_cfg j.jb_machine j.jb_graph
 
+(* Parked sessions and the compile cache share [budget_bytes]; the
+   cache's cap is whatever the parked sessions leave.  Lock held. *)
+let set_live t ~sessions ~bytes =
+  t.live_sessions <- t.live_sessions + sessions;
+  t.live_bytes <- t.live_bytes + bytes;
+  Cache.set_max_bytes t.compile_cache (t.budget_bytes - t.live_bytes)
+
+(* Unpark the job's session for the slice about to continue it. *)
+let take_live t j =
+  Mutex.lock t.mu;
+  let live = j.jb_live in
+  Option.iter (fun (_, bytes) -> set_live t ~sessions:(-1) ~bytes:(-bytes)) live;
+  j.jb_live <- None;
+  Mutex.unlock t.mu;
+  Option.map fst live
+
+(* Park a paused session if it fits beside the compile cache and the
+   other parked sessions; otherwise count its eviction.  Lock held; the
+   job is not queued yet, so nothing else reads [jb_live]. *)
+let park t j p bytes =
+  let fits =
+    (Cache.stats t.compile_cache).Cache.resident_bytes + t.live_bytes + bytes
+    <= t.budget_bytes
+  in
+  if fits then begin
+    j.jb_live <- Some (p, bytes);
+    set_live t ~sessions:1 ~bytes
+  end
+  else t.live_evictions <- t.live_evictions + 1;
+  fits
+
 (* Runs with the lock NOT held; publishes its outcome under the lock. *)
 let run_slice t j =
   let outcome =
     (* a bad config (e.g. ccd:1) raises deep in compilation or strategy
        construction: fail the job, never the worker domain *)
     try
-      let compiled = compiled_for t j in
-      run_slice_inner t j (Exec.scratch compiled)
+      match take_live t j with
+      | Some p -> Ok (Slice.continue ~slice_trials:t.slice_trials j.jb_cfg p)
+      | None -> run_slice_inner t j (Exec.scratch (compiled_for t j))
     with exn -> Error (Printexc.to_string exn)
   in
   match outcome with
@@ -353,13 +407,27 @@ let run_slice t j =
       | Slice.Paused p ->
           (* persist before publishing: once the job is visible as
              re-queued, its envelope is already on disk *)
-          (match t.state_dir with
-          | Some d -> write_atomic (ckpt_path d j.jb_id) p.Slice.ckpt
-          | None -> ());
+          let persisted =
+            Option.map
+              (fun d ->
+                let text = Slice.envelope p in
+                write_atomic (ckpt_path d j.jb_id) text;
+                text)
+              t.state_dir
+          in
+          let bytes = Slice.live_bytes p in
+          Mutex.lock t.mu;
+          let parked = park t j p bytes in
+          Mutex.unlock t.mu;
+          (* a dropped session leaves its envelope to resume from *)
+          let ckpt =
+            if parked then None
+            else Some (match persisted with Some text -> text | None -> Slice.envelope p)
+          in
           Mutex.lock t.mu;
           pool_merge t j.jb_pool_key db_text;
           t.slices <- t.slices + 1;
-          j.jb_ckpt <- Some p.Slice.ckpt;
+          j.jb_ckpt <- ckpt;
           j.jb_trials <- p.Slice.p_trials;
           j.jb_best <- p.Slice.p_best_perf;
           j.jb_state <- Wire.Queued;
@@ -501,6 +569,7 @@ let submit t ~id ~cfg ~warm ~pair machine graph =
             jb_warm = None;
             jb_state = Wire.Done;
             jb_ckpt = None;
+            jb_live = None;
             jb_trials = m.mm_trials;
             jb_best = m.mm_perf;
             jb_result = Some payload;
@@ -530,6 +599,7 @@ let submit t ~id ~cfg ~warm ~pair machine graph =
             jb_warm;
             jb_state = Wire.Queued;
             jb_ckpt = None;
+            jb_live = None;
             jb_trials = 0;
             jb_best = Float.nan;
             jb_result = None;
@@ -565,6 +635,9 @@ let status t =
       ("completed", t.completed);
       ("queued", Queue.length t.queue);
       ("pool_entries", Hashtbl.length t.pool);
+      ("live_sessions", t.live_sessions);
+      ("live_bytes", t.live_bytes);
+      ("live_evictions", t.live_evictions);
     ]
   in
   let requests = t.requests in
@@ -684,6 +757,7 @@ let recover t =
                               jb_warm = warm_key;
                               jb_state = Wire.Queued;
                               jb_ckpt = read_file_opt (ckpt_path dir id);
+                              jb_live = None;
                               jb_trials = 0;
                               jb_best = Float.nan;
                               jb_result = None;

@@ -4,7 +4,9 @@
     quanta on a pool of worker domains; between quanta a job re-enters
     the back of a FIFO, so concurrent requests make interleaved
     progress — a long search cannot starve an [analyze] or a short
-    search.  Everything cross-request is memoized behind one mutex:
+    search.  A paused job keeps its live search session, and its next
+    quantum continues it ({!Slice.continue}).  Everything cross-request
+    is memoized behind one mutex:
 
     - a compile LRU of {!Exec.compiled} artifacts keyed by (machine
       fingerprint, graph fingerprint), weighed by {!Exec.compiled_words};
@@ -14,9 +16,10 @@
     - an incumbent table per (machine, graph): near-repeats (different
       search config) warm-start from the best known mapping;
     - a profiles pool per (machine, graph, eval fingerprint), merged
-      after every slice, seeding fresh starts.  Resumed slices restore
-      their profiles from the checkpoint envelope, never the pool, so
-      per-job decision identity survives restarts.
+      after every slice, seeding fresh starts.  A job's later slices
+      never read it: they continue the job's session or restore its
+      profiles from the checkpoint envelope, so per-job decision
+      identity survives restarts.
 
     Durability: accepted jobs persist a meta file (the request with the
     workload inlined as codec text, the warm-start choice pinned) and,
@@ -36,7 +39,10 @@ val create :
   t
 (** A server with no workers yet.  [slice_trials] (default 40) is the
     scheduling quantum in evaluated trials; [compile_entries] /
-    [compile_bytes] (32 / 256 MiB) bound the compile LRU;
+    [compile_bytes] (32 / 256 MiB) bound the compile LRU, and the
+    parked sessions share [compile_bytes] with it: a paused session
+    that does not fit is dropped to its checkpoint envelope, and its
+    job resumes from that;
     [memo_entries] (512) the result memo.  [state_dir] (created if
     missing) enables checkpoint persistence. *)
 

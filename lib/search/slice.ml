@@ -1,16 +1,22 @@
 (* One scheduling quantum of a search, for the serve daemon: run the
    engine for at most [slice_trials] evaluated proposals, then either
    finish (strategy stopped or the request's own budget ran out) or
-   pause into a checkpoint envelope.  Every slice opens its search with
-   [Driver.session] — the first from the config, later ones from the
-   envelope — which is the same path [Driver.run] builds and resumes
-   through, so a search chopped into slices (possibly hopping between
-   worker domains, each slice on a fresh evaluator over the shared
-   compiled problem) takes exactly the trial sequence the unsliced run
-   would.
+   pause.  A paused slice hands back its live [Driver.session], its
+   engine carry advanced to the slice's outcome, and the next slice
+   runs the engine on that same session: one evaluator, one scratch
+   with its noise streams, committed timelines and bind cache, one
+   strategy, for the whole search.  Restarting [Engine.run] with the
+   carry continues the trial loop exactly where the budget check
+   stopped it, so the sliced search takes the unsliced trial sequence.
+
+   The checkpoint envelope is printed only on demand ([envelope]): the
+   server writes it for durability, or when it drops a paused session to
+   stay within its byte budget.  [resume] rebuilds a session from an
+   envelope through [Driver.session], the same path [Driver.run]
+   resumes through, so a chain may mix continued and resumed slices.
 
    The only approximation is the wall clock: each slice accumulates its
-   own elapsed time into the envelope's wall field.  Wall is not
+   own elapsed time into the carry's wall field.  Wall is not
    decision-relevant here (slice budgets are trial-counted and requests
    carry no max_wall), so the accumulated value is telemetry. *)
 
@@ -83,7 +89,7 @@ type finished = {
   trials : int;
 }
 
-type progress = { ckpt : string; p_trials : int; p_best_perf : float }
+type progress = { session : Driver.session; p_trials : int; p_best_perf : float }
 type status = Finished of finished | Paused of progress
 
 (* Did the slice end because the search is over, or because the quantum
@@ -115,15 +121,29 @@ let conclude cfg ev (o : Engine.outcome) =
     }
 
 let pause (s : Driver.session) (o : Engine.outcome) ~wall =
+  let carry =
+    {
+      Engine.c_trials = o.Engine.trials;
+      c_steps = o.Engine.steps;
+      c_wall = wall;
+      c_best = (o.Engine.best, o.Engine.perf);
+    }
+  in
   Paused
     {
-      ckpt =
-        Engine.checkpoint_string ?surrogate:s.Driver.surrogate ?seen:s.Driver.seen
-          s.Driver.ev s.Driver.strategy ~trials:o.Engine.trials ~steps:o.Engine.steps
-          ~wall ~best:(o.Engine.best, o.Engine.perf);
+      session = { s with Driver.start = o.Engine.best; carry = Some carry };
       p_trials = o.Engine.trials;
       p_best_perf = o.Engine.perf;
     }
+
+let envelope p =
+  let s = p.session in
+  let c = Option.get s.Driver.carry (* [pause] always sets it *) in
+  Engine.checkpoint_string ?surrogate:s.Driver.surrogate ?seen:s.Driver.seen s.Driver.ev
+    s.Driver.strategy ~trials:c.Engine.c_trials ~steps:c.Engine.c_steps
+    ~wall:c.Engine.c_wall ~best:c.Engine.c_best
+
+let live_bytes p = Obj.reachable_words (Obj.repr p.session) * (Sys.word_size / 8)
 
 (* Run one slice of a session: at most [slice_trials] more evaluated
    trials, never past the request's own cap. *)
@@ -156,3 +176,5 @@ let resume ?scratch ?on_event ~slice_trials cfg machine graph ~ckpt =
       Driver.session ?scratch ~snapshot cfg machine graph)
   |> Result.map (run_slice ?on_event ~slice_trials cfg)
   |> Result.map_error (fun e -> "Slice.resume: " ^ e)
+
+let continue ?on_event ~slice_trials cfg p = run_slice ?on_event ~slice_trials cfg p.session

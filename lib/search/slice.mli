@@ -1,16 +1,19 @@
 (** Time-sliced search execution for the serve daemon.
 
     A request's search runs as a chain of slices: {!start} performs the
-    first [slice_trials] evaluated proposals, {!resume} continues from
-    the checkpoint envelope the previous slice produced.  Between
-    slices the search exists only as that envelope — the server can
-    persist it, re-enqueue it behind other requests, or hand it to a
-    different worker domain (each slice builds a fresh evaluator, so
-    only the immutable {!Exec.compiled} problem is shared).  Every slice
-    opens its search through {!Driver.session}, exactly as {!Driver.run}
-    builds and resumes one, so the sliced search is decision-identical
-    to the unsliced one; SIGTERM durability falls out of persisting the
-    envelope after every slice. *)
+    first [slice_trials] evaluated proposals, and each later slice
+    either {!continue}s the live session the previous slice paused, or
+    {!resume}s from that session's checkpoint {!envelope}.  A continued
+    slice runs on the same evaluator, scratch, surrogate and strategy as
+    the slice before it, so the search compiles once and keeps its
+    simulation caches.  The envelope is printed only when the server
+    needs it: for durability under a state directory, or when it drops a
+    paused session to stay within its byte budget; a resumed slice then
+    rebuilds the search in a fresh evaluator over the shared
+    {!Exec.compiled} problem.  Every slice opens or continues its search
+    through {!Driver.session}, exactly as {!Driver.run} builds and
+    resumes one, so a chain of any mix of continued and resumed slices
+    is decision-identical to the unsliced search. *)
 
 type cfg = Driver.cfg = {
   algo : Driver.algo;
@@ -61,8 +64,10 @@ type finished = {
   trials : int;
 }
 
-type progress = {
-  ckpt : string;        (** checkpoint envelope — feed to {!resume} *)
+type progress = private {
+  session : Driver.session;
+      (** the live search, its [carry] advanced to the pause: feed it to
+          {!continue}, or print it with {!envelope} *)
   p_trials : int;
   p_best_perf : float;
 }
@@ -102,3 +107,23 @@ val resume :
     {!Driver.session}, decision-identically ([cfg] must be the one the
     chain started with — the evaluator fingerprint check enforces the
     eval-identity part).  Errors on a corrupt or mismatched envelope. *)
+
+val continue :
+  ?on_event:(Engine.event -> unit) ->
+  slice_trials:int ->
+  cfg ->
+  progress ->
+  status * Evaluator.t
+(** Run the next slice on a paused slice's live session ([cfg] must be
+    the one the chain started with).  The session is mutated: the
+    [progress] value is spent, and its {!envelope} must be printed
+    before, never after. *)
+
+val envelope : progress -> string
+(** The checkpoint envelope of a paused search — feed it to {!resume},
+    which continues the search decision-identically. *)
+
+val live_bytes : progress -> int
+(** Heap bytes reachable from the paused session, the compiled problem
+    it holds included: the weight the server charges a parked session
+    against its byte budget. *)

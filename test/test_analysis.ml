@@ -75,6 +75,58 @@ let test_api_gate () =
         (Str_helpers.contains (Automap_api.infeasible_message a) "unreachable-memory")
   | _ -> Alcotest.fail "check_feasible accepted the headless machine"
 
+(* The channel lint scans node 0 x nodes {0, 1} instead of every memory
+   pair.  Oracle: the all-pairs scan.  Both must meet the same channel
+   classes and asymmetric kind pairs, first encounters in the same
+   order, on every preset and topology family. *)
+let test_channel_pairs_cover_all_pairs () =
+  let first_encounters (m : Machine.t) pairs =
+    let seen = Hashtbl.create 16 in
+    List.filter_map
+      (fun ((a : Machine.memory), (b : Machine.memory)) ->
+        let ch = Machine.channel_between m a b in
+        let key =
+          if Machine.channel_between m b a <> ch then
+            Some (`Asym (a.Machine.mkind, b.Machine.mkind))
+          else if ch <> Machine.Same_memory then Some (`Chan ch)
+          else None
+        in
+        match key with
+        | Some k when not (Hashtbl.mem seen k) ->
+            Hashtbl.add seen k ();
+            Some (k, a.Machine.mkind, b.Machine.mkind)
+        | _ -> None)
+      pairs
+  in
+  let all_pairs (m : Machine.t) =
+    let mems = Array.to_list m.Machine.memories in
+    List.concat_map (fun a -> List.map (fun b -> (a, b)) mems) mems
+  in
+  let spec s =
+    match Presets.of_spec s ~nodes:1 with Ok m -> m | Error e -> Alcotest.fail e
+  in
+  List.iter
+    (fun (m : Machine.t) ->
+      let oracle = first_encounters m (all_pairs m) in
+      Alcotest.(check bool) (m.Machine.name ^ ": some channel class") true (oracle <> []);
+      Alcotest.(check bool) (m.Machine.name ^ ": same first encounters") true
+        (oracle = first_encounters m (Analysis.channel_pairs m)))
+    [
+      Presets.shepard ~nodes:1;
+      Presets.shepard ~nodes:4;
+      Presets.lassen ~nodes:2;
+      Presets.testbed ~nodes:3;
+      Presets.cpu_only ~nodes:2;
+      Presets.headless ~nodes:2;
+      spec "grid:2x2";
+      spec "grid:4x4";
+      spec "torus:4x4";
+      spec "fattree:2:4";
+      spec "direct:4";
+      spec "grid:4x4:free";
+      spec "grid:8x8";
+    ]
+
 let test_tight_machine_prunes () =
   (* non-vacuity: on the capacity-constrained machine the domains must
      actually exclude Frame-Buffer for some collection, and Space must
@@ -375,4 +427,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_dominance_sound;
     Alcotest.test_case "floor covers critical path" `Quick test_floor_covers_critical_path;
     Alcotest.test_case "pruned search acceptance" `Quick test_pruned_search_no_worse;
+    Alcotest.test_case "channel lint pairs cover all pairs" `Quick
+      test_channel_pairs_cover_all_pairs;
   ]

@@ -9,6 +9,9 @@
    - a server restarted from its state directory resumes an in-flight
      search decision-identically to an uninterrupted run;
    - near-repeats warm-start from the cached incumbent;
+   - a job's later slices continue its live session, and a byte budget
+     small enough to drop parked sessions to their envelopes changes no
+     answer;
    - the cache counters surface through the status response. *)
 
 let cfg ?(algo = Driver.Ccd { rotations = 2 }) ?(seed = 0) ~max_trials () =
@@ -170,19 +173,98 @@ let check_warm_start () =
 
 let check_counters () =
   let srv = Server.create ~slice_trials:20 () in
-  let c = cfg ~max_trials:50 () in
+  let c = cfg ~algo:(Driver.Random_walk { max_evals = 1000 }) ~max_trials:50 () in
   ignore (Server.handle srv (map_req ~id:"a" ~cfg:c (stencil ~nodes:1)));
-  Server.drain srv;
-  ignore (Server.handle srv (map_req ~id:"b" ~cfg:c (stencil ~nodes:1)));
+  ignore (Server.step srv);
   let cs = counters_of (Server.handle srv Wire.Status) in
-  Alcotest.(check bool) "compile cache hit across slices" true
-    (counter cs "compile_hits" >= 1);
+  Alcotest.(check int) "the paused job's session is parked" 1 (counter cs "live_sessions");
+  Alcotest.(check bool) "parked session has weight" true (counter cs "live_bytes" > 0);
+  Server.drain srv;
+  let cs = counters_of (Server.handle srv Wire.Status) in
+  Alcotest.(check int) "the job ran three slices" 3 (counter cs "slices");
+  Alcotest.(check int) "a 3-slice job compiles once" 1 (counter cs "compile_misses");
+  Alcotest.(check int) "continued slices skip the compile cache" 0
+    (counter cs "compile_hits");
+  Alcotest.(check int) "no session parked once done" 0 (counter cs "live_sessions");
+  Alcotest.(check int) "no bytes parked once done" 0 (counter cs "live_bytes");
+  ignore (Server.handle srv (map_req ~id:"b" ~cfg:c (stencil ~nodes:1)));
+  (* a new search on the same workload reuses the compiled problem *)
+  ignore
+    (Server.handle srv
+       (map_req ~id:"c" ~cfg:{ c with Slice.seed = 5 } (stencil ~nodes:1)));
+  Server.drain srv;
+  let cs = counters_of (Server.handle srv Wire.Status) in
+  Alcotest.(check int) "compile cache hit across requests" 1 (counter cs "compile_hits");
   Alcotest.(check int) "one compile for one workload" 1 (counter cs "compile_misses");
   Alcotest.(check int) "repeat hit the result memo" 1 (counter cs "result_hits");
   Alcotest.(check bool) "compiled problem has weight" true
     (counter cs "resident_bytes" > 0);
   Alcotest.(check bool) "profiles pooled" true (counter cs "pool_entries" >= 1);
-  Alcotest.(check int) "no evictions in a small run" 0 (counter cs "evictions")
+  Alcotest.(check int) "no evictions in a small run" 0 (counter cs "evictions");
+  Alcotest.(check int) "no session dropped in a small run" 0 (counter cs "live_evictions")
+
+(* ---- live sessions under a byte budget -------------------------------- *)
+
+(* Three interleaved jobs, once under the default budget and once under
+   a budget no larger than the widest session the first run parked
+   alone, so the compile cache's bytes alone push some sessions out:
+   paused sessions that do not fit are printed to their envelopes and
+   dropped, and their jobs resume from the envelope.  Every answer must
+   be bit-equal to the unconstrained run's, and the parked bytes must
+   never exceed the budget. *)
+let check_live_budget () =
+  let requests =
+    [
+      map_req ~id:"s1" ~cfg:(cfg ~max_trials:60 ()) (stencil ~nodes:1);
+      map_req ~id:"s2" ~cfg:(cfg ~seed:3 ~max_trials:60 ()) (stencil ~nodes:2);
+      map_req ~id:"c1"
+        ~cfg:(cfg ~algo:(Driver.Random_walk { max_evals = 1000 }) ~max_trials:60 ())
+        { (stencil ~nodes:1) with Wire.w_app = Some "circuit" };
+    ]
+  in
+  let run ?compile_bytes () =
+    let srv = Server.create ~slice_trials:10 ?compile_bytes () in
+    List.iter
+      (fun r ->
+        match Server.handle srv r with
+        | Wire.R_accepted _ -> ()
+        | _ -> Alcotest.fail "map must be accepted")
+      requests;
+    let widest = ref 0 and parked = ref 0 in
+    while Server.step srv do
+      let cs = counters_of (Server.handle srv Wire.Status) in
+      (match compile_bytes with
+      | Some budget ->
+          Alcotest.(check bool) "parked bytes within the budget" true
+            (counter cs "live_bytes" <= budget)
+      | None -> ());
+      if counter cs "live_sessions" = 1 then
+        widest := max !widest (counter cs "live_bytes");
+      parked := max !parked (counter cs "live_sessions")
+    done;
+    let cs = counters_of (Server.handle srv Wire.Status) in
+    let answers =
+      List.map
+        (fun id ->
+          let p = result_of srv id in
+          Alcotest.(check bool) (id ^ " done") true (p.Wire.r_state = Wire.Done);
+          (id, p.Wire.r_mapping, p.Wire.r_perf_hex, p.Wire.r_trials))
+        [ "s1"; "s2"; "c1" ]
+    in
+    (answers, !widest, !parked, counter cs "live_evictions")
+  in
+  let reference, widest, parked, dropped = run () in
+  Alcotest.(check int) "default budget drops nothing" 0 dropped;
+  Alcotest.(check bool) "three jobs park side by side" true (parked >= 2);
+  let tight, _, tight_parked, tight_dropped = run ~compile_bytes:widest () in
+  Alcotest.(check bool) "the tight budget drops sessions" true (tight_dropped > 0);
+  Alcotest.(check bool) "the tight budget still parks" true (tight_parked >= 1);
+  List.iter2
+    (fun (id, m, p, n) (_, m', p', n') ->
+      Alcotest.(check (option string)) (id ^ ": same mapping") m m';
+      Alcotest.(check (option string)) (id ^ ": bit-equal perf") p p';
+      Alcotest.(check int) (id ^ ": same trials") n n')
+    reference tight
 
 let check_analyze_and_errors () =
   let srv = Server.create () in
@@ -263,4 +345,6 @@ let suite =
     Alcotest.test_case "cache: LRU order and stats" `Quick check_cache_lru;
     Alcotest.test_case "cache: weight cap and oversized entries" `Quick
       check_cache_weight_cap;
+    Alcotest.test_case "live sessions: a tight budget changes no answer" `Quick
+      check_live_budget;
   ]

@@ -4,7 +4,9 @@
 
    - a search chopped into slices takes the unsliced trajectory exactly
      (every Eval event, the best mapping, its bit-exact perf and the
-     trial count);
+     trial count), whether each slice continues the live session the
+     previous one paused, resumes from its printed envelope, or the
+     chain alternates between the two;
    - a checkpoint that cannot be resumed is refused by both entry
      points: Driver.run raises Driver.Resume_error, Slice.resume
      returns Error. *)
@@ -49,7 +51,15 @@ let recorder () =
   in
   (evs, on_event)
 
-let sliced ~slice_trials c m g =
+(* How a chain runs the slice after a pause: continue the paused live
+   session, resume from its printed envelope (as after a restart or a
+   budget eviction), or alternate — continue, evict, resume, continue
+   the resumed session, ... *)
+type chain = Continue | Resume | Mixed
+
+let chain_name = function Continue -> "continue" | Resume -> "resume" | Mixed -> "mixed"
+
+let sliced ~chain ~slice_trials c m g =
   let evs, on_event = recorder () in
   let slices = ref 1 in
   let rec go = function
@@ -57,7 +67,13 @@ let sliced ~slice_trials c m g =
     | Ok (Slice.Finished f, _) -> f
     | Ok (Slice.Paused p, _) ->
         incr slices;
-        go (Slice.resume ~on_event ~slice_trials c m g ~ckpt:p.Slice.ckpt)
+        let via_envelope =
+          match chain with Continue -> false | Resume -> true | Mixed -> !slices mod 2 = 1
+        in
+        go
+          (if via_envelope then
+             Slice.resume ~on_event ~slice_trials c m g ~ckpt:(Slice.envelope p)
+           else Ok (Slice.continue ~on_event ~slice_trials c p))
   in
   let f = go (Slice.start ~on_event ~slice_trials c m g) in
   (f, List.rev !evs, !slices)
@@ -79,11 +95,12 @@ let test_sliced_equals_unsliced () =
           let evs = List.rev !evs in
           let trials = match List.rev evs with (t, _, _, _) :: _ -> t | [] -> 0 in
           List.iter
-            (fun slice_trials ->
+            (fun (chain, slice_trials) ->
               let name =
-                Printf.sprintf "%s batch=%b slice=%d" app.App.app_name batch slice_trials
+                Printf.sprintf "%s batch=%b %s slice=%d" app.App.app_name batch
+                  (chain_name chain) slice_trials
               in
-              let f, sevs, slices = sliced ~slice_trials c m g in
+              let f, sevs, slices = sliced ~chain ~slice_trials c m g in
               if slice_trials < trials then
                 Alcotest.(check bool) (name ^ ": actually sliced") true (slices > 1);
               Alcotest.(check string) (name ^ ": best mapping")
@@ -95,7 +112,7 @@ let test_sliced_equals_unsliced () =
                 (hex r.Driver.search_perf) (hex f.Slice.search_perf);
               Alcotest.(check int) (name ^ ": trials") trials f.Slice.trials;
               Alcotest.(check bool) (name ^ ": same evaluations") true (evs = sevs))
-            [ 7; 40 ])
+            [ (Resume, 7); (Resume, 40); (Continue, 7); (Continue, 40); (Mixed, 7) ])
         [ true; false ])
     apps
 
