@@ -329,6 +329,11 @@ let search_cmd =
     Format.printf "%a@." Driver.pp_result r;
     Printf.printf "engine: %d steps, %d checkpoints written\n" r.Driver.engine_steps
       r.Driver.checkpoints_written;
+    (let lane = st.Evaluator.s_lane_pops and heap = st.Evaluator.s_heap_pops in
+     Printf.printf "simulator: %d events popped live, %d from the same-instant lane (%.1f%%)\n"
+       (lane + heap) lane
+       (if lane + heap > 0 then 100.0 *. float_of_int lane /. float_of_int (lane + heap)
+        else 0.0));
     if batch then
       Printf.printf "batches: %d evaluated, %d short-circuited past an improvement\n"
         st.Evaluator.s_batch_calls st.Evaluator.s_batch_short_circuits;

@@ -347,9 +347,13 @@ let copy_cost t ~src ~dst ~bytes =
               acc := !acc +. (l.Topology.llat +. (bytes /. l.Topology.lbw)));
           !acc
       | _ ->
+          (* same guard as above: without it a GPU-less machine
+             (pcie_bw = 0) priced every inter-node copy 0 * inf = NaN *)
           channel_latency t ch
           +. (bytes /. channel_bandwidth t ch)
-          +. (float_of_int fb_hops *. (t.copy.local_latency +. (bytes /. t.copy.pcie_bw))))
+          +.
+          if fb_hops = 0 then 0.0
+          else float_of_int fb_hops *. (t.copy.local_latency +. (bytes /. t.copy.pcie_bw)))
   | Host_local | Cross_socket | Pcie | Gpu_peer ->
       channel_latency t ch +. (bytes /. channel_bandwidth t ch)
 

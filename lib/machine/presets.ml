@@ -341,6 +341,9 @@ let of_topology topo =
 let of_spec spec ~nodes =
   let lower = String.lowercase_ascii (String.trim spec) in
   match lower with
+  | ("shepard" | "lassen" | "testbed" | "cpu_only" | "cpu-only" | "headless")
+    when nodes < 1 ->
+      Error (Printf.sprintf "preset %s needs at least one node (got -n %d)" lower nodes)
   | "shepard" -> Ok (shepard ~nodes)
   | "lassen" -> Ok (lassen ~nodes)
   | "testbed" -> Ok (testbed ~nodes)

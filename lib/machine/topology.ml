@@ -76,7 +76,8 @@ let grid ~w ~h ?(wrap = false) ~link_bw ~link_latency () =
   if w < 1 || h < 1 then invalid_arg "Topology.grid: dimensions must be >= 1";
   if wrap && (w < 2 || h < 2) then
     invalid_arg "Topology.grid: torus dimensions must be >= 2";
-  if w * h > max_gen_nodes then invalid_arg "Topology.grid: too many nodes";
+  (* divided, not multiplied: w * h can overflow *)
+  if w > max_gen_nodes / h then invalid_arg "Topology.grid: too many nodes";
   check_rates ~link_bw ~link_latency;
   let n = w * h in
   let node x y = (y * w) + x in
@@ -172,10 +173,16 @@ let fattree ~levels ~arity ~link_bw ~link_latency =
   if levels < 1 then invalid_arg "Topology.fattree: levels must be >= 1";
   if arity < 2 then invalid_arg "Topology.fattree: arity must be >= 2";
   check_rates ~link_bw ~link_latency;
+  (* bound the leaf count before sizing anything by [levels] *)
+  let leaves = ref 1 and j = ref 0 in
+  while !j < levels do
+    leaves := !leaves * arity;
+    if !leaves > max_gen_nodes then invalid_arg "Topology.fattree: too many nodes";
+    incr j
+  done;
   let pow = Array.make (levels + 1) 1 in
   for j = 1 to levels do
-    pow.(j) <- pow.(j - 1) * arity;
-    if pow.(j) > max_gen_nodes then invalid_arg "Topology.fattree: too many nodes"
+    pow.(j) <- pow.(j - 1) * arity
   done;
   let n = pow.(levels) in
   (* vertex ids: leaves [0,n), then switch levels bottom-up *)
@@ -509,10 +516,17 @@ let of_spec s ~link_bw ~link_latency =
     | "free" :: rest -> (List.rev rest, true)
     | _ -> (parts, false)
   in
+  (* decimal digits only: [int_of_string_opt] alone also takes "0x10",
+     "0b11", "+3" and "1_0" *)
+  let num str =
+    if str <> "" && String.for_all (fun c -> c >= '0' && c <= '9') str then
+      int_of_string_opt str
+    else None
+  in
   let dims str =
     match String.split_on_char 'x' str with
     | [ a; b ] -> (
-        match (int_of_string_opt a, int_of_string_opt b) with
+        match (num a, num b) with
         | Some w, Some h -> Some (w, h)
         | _ -> None)
     | _ -> None
@@ -528,11 +542,11 @@ let of_spec s ~link_bw ~link_latency =
         | Some (w, h) -> Ok (grid ~w ~h ~wrap:true ~link_bw ~link_latency ())
         | None -> err ())
     | [ "fattree"; l; a ] -> (
-        match (int_of_string_opt l, int_of_string_opt a) with
+        match (num l, num a) with
         | Some levels, Some arity -> Ok (fattree ~levels ~arity ~link_bw ~link_latency)
         | _ -> err ())
     | [ "direct"; n ] -> (
-        match int_of_string_opt n with
+        match num n with
         | Some nodes -> Ok (direct ~nodes ~link_bw ~link_latency)
         | None -> err ())
     | _ -> err ()

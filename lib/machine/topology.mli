@@ -137,8 +137,10 @@ val to_spec : t -> string option
     (serialized link-by-link by {!Machine_codec}). *)
 
 val of_spec : string -> link_bw:float -> link_latency:float -> (t, string) result
-(** Parse a spec produced by {!to_spec} (case-insensitive).  Route
-    structure is regenerated, never deserialized. *)
+(** Parse a spec produced by {!to_spec} (case-insensitive; sizes are
+    plain decimal numbers).  Route structure is regenerated, never
+    deserialized.  Oversized specs are refused before anything is
+    allocated for them. *)
 
 val equal_structure : t -> t -> bool
 (** Same family, node/vertex counts, link array (ids, endpoints,

@@ -110,6 +110,8 @@ type stats = {
   s_cone_replays : int;
   s_cone_instances : int;
   s_full_replays : int;
+  s_lane_pops : int;
+  s_heap_pops : int;
   s_timeline_bytes : int;
   s_surrogate_trained : int;
   s_surrogate_reranks : int;
@@ -760,6 +762,8 @@ let stats t =
     s_cone_replays = Exec.cone_replays t.scratch;
     s_cone_instances = Exec.cone_instances t.scratch;
     s_full_replays = Exec.full_replays t.scratch;
+    s_lane_pops = Exec.lane_pops t.scratch;
+    s_heap_pops = Exec.heap_pops t.scratch;
     s_timeline_bytes = Exec.timeline_bytes t.scratch;
     s_surrogate_trained = (match t.surrogate with Some s -> Surrogate.trained s | None -> 0);
     s_surrogate_reranks = (match t.surrogate with Some s -> Surrogate.reranks s | None -> 0);

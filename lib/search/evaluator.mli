@@ -286,6 +286,10 @@ type stats = {
   s_cone_replays : int;   (** {!Exec.cone_replays} *)
   s_cone_instances : int; (** {!Exec.cone_instances} *)
   s_full_replays : int;   (** {!Exec.full_replays} *)
+  s_lane_pops : int;
+      (** {!Exec.lane_pops}: events the scratch's live loop took from
+          the event queue's same-instant lane *)
+  s_heap_pops : int;      (** {!Exec.heap_pops} *)
   s_timeline_bytes : int; (** {!Exec.timeline_bytes} *)
   s_surrogate_trained : int;  (** {!Surrogate.trained} (0 when none attached) *)
   s_surrogate_reranks : int;  (** {!Surrogate.reranks} *)

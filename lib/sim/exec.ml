@@ -394,14 +394,31 @@ let run_reference ?(noise_sigma = 0.03) ?(seed = 0) ?(fallback = false) ?iterati
 
 (* ------------------------------------------------------------------ *)
 (* The event queue: a binary min-heap with a float priority and an int *)
-(* payload in flat arrays.                                             *)
+(* payload in flat arrays, plus a same-instant FIFO lane.              *)
+(*                                                                     *)
+(* Most events are pushed for the instant being processed: a Done at   *)
+(* [t_done] releases same-memory consumers and the next iteration's    *)
+(* instance at [t_done] itself.  Such a push goes to the lane, a ring  *)
+(* of payloads popped in push order, and skips the heap's O(log n)     *)
+(* sift both ways.  Pop order stays exactly the (prio, seq) order of   *)
+(* the plain heap:                                                     *)
+(*   - [now] is the largest priority popped so far, and every lane     *)
+(*     entry has priority [now];                                       *)
+(*   - [now] only rises when the lane is empty, so every lane entry    *)
+(*     was pushed after [now] took its value, while a heap entry at    *)
+(*     [now] was pushed before: it has the smaller seq and pops first; *)
+(*   - a heap entry below [now] pops before the lane too, and one      *)
+(*     above waits until the lane is drained.                          *)
+(* A lane entry reports [now] as its priority.  The two differ only    *)
+(* for a push of -0.0 at +0.0, which the simulator never makes: its    *)
+(* event times are sums and maxima of nonnegative terms from +0.0.     *)
 (*                                                                     *)
 (* It lives in this compilation unit on purpose.  dune's dev profile   *)
 (* compiles every module with -opaque, which stops inlining across     *)
 (* modules, and a float crossing a call that is not inlined is boxed.  *)
-(* Kept here, [push] and [top_prio] inline into the event loop and the *)
-(* per-event path allocates nothing.  Per-event code belongs in this   *)
-(* file for the same reason.                                           *)
+(* Kept here, [push], [top_prio] and [pop] inline into the event loop  *)
+(* and the per-event path allocates nothing.  Per-event code belongs   *)
+(* in this file for the same reason.                                   *)
 (* ------------------------------------------------------------------ *)
 
 module Event_queue = struct
@@ -411,6 +428,15 @@ module Event_queue = struct
     mutable payload : int array;
     mutable size : int;
     mutable next_seq : int;
+    (* the lane: a ring of [lane_len] payloads from [lane_head] *)
+    mutable lane : int array;
+    mutable lane_head : int;
+    mutable lane_len : int;
+    (* [now] in a one-element float array: a float field of this mixed
+       record would be boxed, and every store would allocate *)
+    now : float array;
+    mutable lane_pops : int;
+    mutable heap_pops : int;
   }
 
   let create ?(capacity = 16) () =
@@ -421,9 +447,15 @@ module Event_queue = struct
       payload = Array.make capacity 0;
       size = 0;
       next_seq = 0;
+      lane = Array.make capacity 0;
+      lane_head = 0;
+      lane_len = 0;
+      now = [| 0.0 |];
+      lane_pops = 0;
+      heap_pops = 0;
     }
 
-  let[@inline] is_empty h = h.size = 0
+  let[@inline] is_empty h = h.size = 0 && h.lane_len = 0
 
   (* strict ordering: priority, then insertion sequence (FIFO on ties).
      The sift loops move the displaced element as a hole (read once,
@@ -442,6 +474,21 @@ module Event_queue = struct
       h.seq <- ns;
       h.payload <- nv
     end
+
+  (* Re-lays the ring out from index 0 in a buffer of at least [n]
+     slots.  Cold: the simulator sizes the lane once per capacity growth
+     ({!reserve_lane}), and an instance never has two events pending. *)
+  let resize_lane h n =
+    let cap = Array.length h.lane in
+    let nl = Array.make n 0 in
+    for k = 0 to h.lane_len - 1 do
+      let j = h.lane_head + k in
+      nl.(k) <- h.lane.(if j >= cap then j - cap else j)
+    done;
+    h.lane <- nl;
+    h.lane_head <- 0
+
+  let reserve_lane h n = if n > Array.length h.lane then resize_lane h n
 
   (* Unsafe indexing below: every index is either [start] (< size, by the
      callers) or a parent/child index derived from one, and the three
@@ -478,21 +525,41 @@ module Event_queue = struct
     sift_up h i
 
   let set_next_seq h seq = h.next_seq <- seq
+  let set_now h t = h.now.(0) <- t
 
   let[@inline] push h prio payload =
-    grow h;
-    let i = h.size in
-    h.prio.(i) <- prio;
-    h.seq.(i) <- h.next_seq;
-    h.payload.(i) <- payload;
-    h.next_seq <- h.next_seq + 1;
-    h.size <- h.size + 1;
-    sift_up h i
+    if prio = Array.unsafe_get h.now 0 then begin
+      let cap = Array.length h.lane in
+      if h.lane_len = cap then resize_lane h (2 * cap);
+      let cap = Array.length h.lane in
+      let j = h.lane_head + h.lane_len in
+      Array.unsafe_set h.lane (if j >= cap then j - cap else j) payload;
+      h.lane_len <- h.lane_len + 1
+    end
+    else begin
+      grow h;
+      let i = h.size in
+      h.prio.(i) <- prio;
+      h.seq.(i) <- h.next_seq;
+      h.payload.(i) <- payload;
+      h.size <- h.size + 1;
+      sift_up h i
+    end;
+    (* lane pushes draw a seq too, so heap entries pushed later (and
+       replay's {!push_with_seq}) number exactly as in a plain heap *)
+    h.next_seq <- h.next_seq + 1
 
-  let[@inline] top_prio h = h.prio.(0)
-  let[@inline] top h = h.payload.(0)
+  (* Does the next pop come from the heap?  Yes when the lane is empty,
+     or when the heap's minimum is at or below [now] (see above). *)
+  let[@inline] heap_next h =
+    h.lane_len = 0
+    || (h.size > 0 && Array.unsafe_get h.prio 0 <= Array.unsafe_get h.now 0)
 
-  let drop h =
+  let[@inline] top_prio h =
+    if heap_next h then h.prio.(0) else Array.unsafe_get h.now 0
+
+  (* Removes the heap's minimum.  No-op on an empty heap. *)
+  let heap_drop h =
     if h.size > 0 then begin
       h.size <- h.size - 1;
       let n = h.size in
@@ -534,9 +601,33 @@ module Event_queue = struct
       end
     end
 
+  let[@inline] pop h =
+    if heap_next h then begin
+      let p = h.prio.(0) and v = h.payload.(0) in
+      heap_drop h;
+      if p > Array.unsafe_get h.now 0 then Array.unsafe_set h.now 0 p;
+      h.heap_pops <- h.heap_pops + 1;
+      v
+    end
+    else begin
+      let head = h.lane_head in
+      let v = Array.unsafe_get h.lane head in
+      let head = head + 1 in
+      h.lane_head <- (if head = Array.length h.lane then 0 else head);
+      h.lane_len <- h.lane_len - 1;
+      h.lane_pops <- h.lane_pops + 1;
+      v
+    end
+
   let reset h =
     h.size <- 0;
-    h.next_seq <- 0
+    h.next_seq <- 0;
+    h.lane_head <- 0;
+    h.lane_len <- 0;
+    h.now.(0) <- 0.0
+
+  let lane_pops h = h.lane_pops
+  let heap_pops h = h.heap_pops
 end
 
 (* ------------------------------------------------------------------ *)
@@ -986,6 +1077,9 @@ let ensure_capacity sc n =
     done;
     sc.inst_slot <- is;
     sc.inst_iter <- ii;
+    (* an instance has at most one event pending (its Ready, then its
+       Done), so n lane slots never overflow *)
+    Event_queue.reserve_lane sc.events n;
     sc.cap_instances <- n
   end
 
@@ -1035,6 +1129,8 @@ let preferred_mapping sc = sc.preferred
 let cone_replays sc = sc.cone_replays
 let cone_instances sc = sc.cone_instances
 let full_replays sc = sc.full_replays
+let lane_pops sc = Event_queue.lane_pops sc.events
+let heap_pops sc = Event_queue.heap_pops sc.events
 
 let timeline_bytes sc =
   let b = ref 0 in
@@ -1830,7 +1926,11 @@ let sim_core sc mapping ~noise_sigma ~seed ~fallback ~iterations ~trace ~cutoff 
           if adm_mark.(p) = run_id then
             Event_queue.push_with_seq events adm_prio.(p) p ~seq:adm_seq.(p)
         done;
-        Event_queue.set_next_seq events sc.sim_vseq
+        Event_queue.set_next_seq events sc.sim_vseq;
+        (* the live loop resumes at the instant of the last admitted
+           pop: pending events at that instant sit in the heap with the
+           smaller seqs, and new pushes at it take the lane *)
+        Event_queue.set_now events adm_prio.(tlp.(admit_upto - 1))
       end
     end
     else begin
@@ -1849,8 +1949,7 @@ let sim_core sc mapping ~noise_sigma ~seed ~fallback ~iterations ~trace ~cutoff 
         sc.r_acc.(acc_cut) <- t
       end
       else begin
-        let payload = Event_queue.top events in
-        Event_queue.drop events;
+        let payload = Event_queue.pop events in
         if record then pop_buf.(!n_popped) <- payload;
         incr n_popped;
         let i = payload lsr 1 in

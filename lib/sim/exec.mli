@@ -269,6 +269,13 @@ val full_replays : scratch -> int
     plain loop (diff beyond the coordinate limit, or clean prefix too
     short to pay for admission). *)
 
+val lane_pops : scratch -> int
+(** Events the live loop popped from the event queue's same-instant
+    lane (see {!Event_queue}); admission replay pops neither. *)
+
+val heap_pops : scratch -> int
+(** Events the live loop popped from the event queue's heap. *)
+
 val timeline_bytes : scratch -> int
 (** Approximate bytes held by committed timelines and cached noise
     streams. *)
@@ -305,12 +312,22 @@ val bound_mapping : scratch -> Mapping.t option
 (** {1 Event queue}
 
     The simulator's event queue: a monomorphic binary min-heap with a
-    float priority and an int payload.  Entries live in three flat
-    arrays (priority, insertion sequence, payload), so pushing and
-    popping never allocate — unlike the polymorphic {!Heap}, which
-    boxes an entry record per push.  Ties on priority pop in insertion order,
-    exactly like {!Heap}, which is what makes a compiled simulation
-    bit-identical to the reference interpreter.
+    float priority and an int payload, plus a same-instant FIFO lane.
+    Heap entries live in three flat arrays (priority, insertion
+    sequence, payload), so pushing and popping never allocate — unlike
+    the polymorphic {!Heap}, which boxes an entry record per push.
+
+    The queue tracks [now], the largest priority popped so far (0.0
+    after {!reset}).  A push at exactly [now] appends its payload to the
+    lane instead of sifting into the heap; pops take the heap's minimum
+    while it is at or below [now], then drain the lane in push order,
+    and only then move [now] forward.  Every lane entry was pushed after
+    every heap entry at [now], so the pop order is exactly the
+    (priority, insertion sequence) order of a plain heap: ties pop in
+    insertion order, like {!Heap}, which is what makes a compiled
+    simulation bit-identical to the reference interpreter.  In the
+    simulator nine in ten events are pushed at the instant being
+    processed.
 
     It is defined inside [Exec] rather than in a module of its own: the
     dev profile compiles with [-opaque], which stops inlining across
@@ -321,7 +338,7 @@ module Event_queue : sig
   type t
 
   val create : ?capacity:int -> unit -> t
-  (** [capacity] (default 16) pre-sizes the backing arrays. *)
+  (** [capacity] (default 16) pre-sizes the heap arrays and the lane. *)
 
   val is_empty : t -> bool
 
@@ -329,22 +346,27 @@ module Event_queue : sig
   (** [push h prio payload] inserts [payload] with priority [prio]. *)
 
   val top_prio : t -> float
-  (** Priority of the minimum entry.  Undefined (reads stale storage)
-      on an empty heap — guard with {!is_empty}. *)
+  (** Priority of the entry {!pop} returns next (a lane entry reports
+      [now]; the two differ only for a [-0.0] pushed at [+0.0]).
+      Undefined (reads stale storage) on an empty queue — guard with
+      {!is_empty}. *)
 
-  val top : t -> int
-  (** Payload of the minimum entry.  Same caveat as {!top_prio}. *)
-
-  val drop : t -> unit
-  (** Removes the minimum entry.  No-op on an empty heap. *)
+  val pop : t -> int
+  (** Removes the next entry in (priority, insertion sequence) order and
+      returns its payload.  Undefined on an empty queue. *)
 
   val reset : t -> unit
-  (** Empties the heap and rewinds the insertion sequence to 0, keeping
-      the backing arrays — the per-simulation reset. *)
+  (** Empties the queue, rewinds the insertion sequence and [now] to 0,
+      keeping the backing arrays — the per-simulation reset.  The pop
+      counters keep counting. *)
+
+  val reserve_lane : t -> int -> unit
+  (** [reserve_lane h n] sizes the lane for [n] entries, so pushes do
+      not grow it while at most [n] are pending. *)
 
   val push_with_seq : t -> float -> int -> seq:int -> unit
-  (** Inserts with an explicit insertion sequence instead of the
-      internal counter (which it does not advance — pair with
+  (** Inserts into the heap with an explicit insertion sequence instead
+      of the internal counter (which it does not advance — pair with
       {!set_next_seq}).  Incremental replay rebuilds the queue as it
       stood mid-simulation: pending events re-enter with the sequence
       numbers the full run gave them, so every later tie breaks the
@@ -352,6 +374,18 @@ module Event_queue : sig
 
   val set_next_seq : t -> int -> unit
   (** Overrides the counter subsequent {!push}es draw from. *)
+
+  val set_now : t -> float -> unit
+  (** Sets [now], the instant whose pushes take the lane.  Only valid
+      while the lane is empty, and with every heap entry's sequence
+      number below the counter's: replay calls it after rebuilding the
+      heap, with the time of the last admitted pop. *)
+
+  val lane_pops : t -> int
+  (** Entries popped from the lane since {!create}. *)
+
+  val heap_pops : t -> int
+  (** Entries popped from the heap since {!create}. *)
 end
 
 val run :

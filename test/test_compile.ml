@@ -161,6 +161,115 @@ let test_parallel_equals_sequential () =
   Alcotest.(check string) "same best member" bs.Parallel.member bp.Parallel.member;
   Alcotest.(check exact) "same best perf" bs.Parallel.perf bp.Parallel.perf
 
+(* ---------------------------------------------------------------- *)
+(* Differential oracle: the compiled loop against run_reference on    *)
+(* random graphs, random machine specs (the spec-string generator's   *)
+(* well-formed half) and random mappings.  sigma = 0 makes exact      *)
+(* timestamp ties common, which is where the event queue's lane and   *)
+(* FIFO tie-breaks matter.  Each case runs a mapping, a one-coordinate *)
+(* neighbour of it (so the replay scratch admits a clean prefix), an  *)
+(* unrelated mapping and the first again, on a scratch with           *)
+(* incremental replay on and one with it off, and compares every      *)
+(* result with the reference bit for bit ([%h]).  A random cutoff     *)
+(* must cut exactly when the reference makespan reaches it, at the    *)
+(* same time on both scratches.                                       *)
+(* ---------------------------------------------------------------- *)
+
+type oracle_case = {
+  graph : Gen.spec;
+  machine : string * int;
+  mseed : int;
+  sigma : float;
+  fallback : bool;
+  cut_frac : float;
+  seed : int;
+}
+
+let oracle_case_gen =
+  let open QCheck.Gen in
+  let* graph = Gen.spec_gen in
+  let* machine = Gen.machine_spec_gen ~valid:true in
+  let* mseed = int_range 0 1_000_000 in
+  let* sigma = oneofl [ 0.0; 0.03 ] in
+  let* fallback = bool in
+  let* cut_frac = frequency [ (1, return 1.0); (3, float_range 0.3 1.5) ] in
+  let+ seed = int_range 0 50 in
+  { graph; machine; mseed; sigma; fallback; cut_frac; seed }
+
+let print_oracle_case c =
+  Printf.sprintf "%s on %s, mapping seed %d, sigma %g, fallback %b, cutoff x%g, seed %d"
+    (Gen.print_spec c.graph)
+    (Gen.print_machine_spec c.machine)
+    c.mseed c.sigma c.fallback c.cut_frac c.seed
+
+let hex = Printf.sprintf "%h"
+
+let same_result (a : Exec.result) (b : Exec.result) =
+  let hexes xs = Array.map hex xs in
+  hex a.Exec.makespan = hex b.Exec.makespan
+  && hex a.Exec.per_iteration = hex b.Exec.per_iteration
+  && hex a.Exec.bytes_moved = hex b.Exec.bytes_moved
+  && a.Exec.n_copies = b.Exec.n_copies
+  && a.Exec.demotions = b.Exec.demotions
+  && hexes a.Exec.task_times = hexes b.Exec.task_times
+  && hexes a.Exec.proc_busy = hexes b.Exec.proc_busy
+  && hexes a.Exec.channel_bytes = hexes b.Exec.channel_bytes
+
+let prop_compiled_matches_reference =
+  QCheck.Test.make ~count:300
+    ~name:"compiled loop = reference on random graphs, machines and mappings"
+    (QCheck.make ~print:print_oracle_case oracle_case_gen)
+    (fun c ->
+      let g = Gen.graph_of_spec c.graph in
+      let spec, nodes = c.machine in
+      let machine =
+        match Presets.of_spec spec ~nodes with
+        | Ok m -> m
+        | Error e -> QCheck.Test.fail_reportf "well-formed spec refused: %s" e
+      in
+      let space = Space.make g machine in
+      let rng = Rng.create c.mseed in
+      let m1 = Space.random_mapping space rng in
+      let m2 = Space.random_mapping space rng in
+      let neighbour =
+        let cid = Rng.int rng (Graph.n_collections g) in
+        Mapping.set_mem m1 cid (Mapping.mem_of m2 cid)
+      in
+      let prob = Exec.compile machine g in
+      let replay = Exec.scratch prob and plain = Exec.scratch prob in
+      Exec.set_incremental plain false;
+      let noise_sigma = c.sigma and seed = c.seed and fallback = c.fallback in
+      let agree what m =
+        let fail fmt = QCheck.Test.fail_reportf ("%s: " ^^ fmt) what in
+        let reference = Exec.run_reference ~noise_sigma ~seed ~fallback machine g m in
+        let on sc = Exec.simulate ~noise_sigma ~seed ~fallback sc m in
+        (match (reference, on replay, on plain) with
+        | Ok r, Ok a, Ok b ->
+            if not (same_result r a) then fail "replay scratch differs from reference";
+            if not (same_result r b) then fail "plain scratch differs from reference";
+            let cutoff = r.Exec.makespan *. c.cut_frac in
+            let bounded sc =
+              Exec.simulate_bounded ~noise_sigma ~seed ~fallback ~cutoff sc m
+            in
+            (match (bounded replay, bounded plain) with
+            | Ok (Exec.Cut ta), Ok (Exec.Cut tb) ->
+                if r.Exec.makespan < cutoff then fail "cut below the cutoff";
+                if hex ta <> hex tb then fail "cut times differ: %h vs %h" ta tb;
+                if ta < cutoff || ta > r.Exec.makespan then fail "cut at %h" ta
+            | Ok (Exec.Finished a), Ok (Exec.Finished b) ->
+                if r.Exec.makespan >= cutoff then fail "no cut at the cutoff";
+                if not (same_result r a && same_result r b) then
+                  fail "bounded run differs from reference"
+            | _ -> fail "bounded runs disagree")
+        | Error e, Error ea, Error eb ->
+            let s = Placement.error_to_string in
+            if s e <> s ea || s e <> s eb then fail "different errors"
+        | _ -> fail "one side failed");
+        true
+      in
+      agree "first" m1 && agree "neighbour" neighbour && agree "unrelated" m2
+      && agree "first again" m1)
+
 let suite =
   [
     Alcotest.test_case "five apps: simulate == reference" `Slow test_apps_golden;
@@ -175,4 +284,5 @@ let suite =
       test_parallel_map_exception;
     Alcotest.test_case "parallel portfolio == sequential" `Slow
       test_parallel_equals_sequential;
+    QCheck_alcotest.to_alcotest prop_compiled_matches_reference;
   ]

@@ -59,8 +59,8 @@ let drain_event_queue h =
   let rec go acc =
     if Q.is_empty h then List.rev acc
     else begin
-      let p = Q.top_prio h and v = Q.top h in
-      Q.drop h;
+      let p = Q.top_prio h in
+      let v = Q.pop h in
       go ((p, v) :: acc)
     end
   in
@@ -90,6 +90,89 @@ let prop_event_queue_matches_heap =
         match Heap.pop h with None -> List.rev acc | Some (p, v) -> drain ((p, v) :: acc)
       in
       drain [] = drain_event_queue fh)
+
+(* A simulator-shaped script: each pop pushes 0-3 follow-ups, most at
+   the popped instant itself (the lane's case), some later, and — with
+   [backwards] — a few below it, which the simulator never does but the
+   queue must still order.  [push]/[top_prio]/[pop] run one queue; the
+   result is the (prio, payload) pop sequence and the number of pops
+   before [top_prio] first reached [cutoff] ([-1]: never). *)
+let drive ~seed ~backwards ~cutoff push top_prio pop is_empty =
+  let rng = Rng.create seed in
+  let next = ref 0 in
+  let push_new t =
+    push t !next;
+    incr next
+  in
+  for _ = 1 to 1 + Rng.int rng 8 do
+    push_new (if Rng.int rng 3 = 0 then float_of_int (Rng.int rng 3) else 0.0)
+  done;
+  let pops = ref [] and cut_at = ref (-1) and n = ref 0 in
+  while not (is_empty ()) do
+    let t = top_prio () in
+    if !cut_at < 0 && t >= cutoff then cut_at := !n;
+    let v = pop () in
+    pops := (t, v) :: !pops;
+    incr n;
+    if !next < 400 then
+      for _ = 1 to Rng.int rng 4 do
+        let dt =
+          match Rng.int rng 10 with
+          | 0 -> 1.0
+          | 1 -> 0.25
+          | 2 -> float_of_int (1 + Rng.int rng 5)
+          | 3 when backwards -> -0.5
+          | _ -> 0.0
+        in
+        push_new (t +. dt)
+      done
+  done;
+  (List.rev !pops, !cut_at)
+
+let prop_event_queue_lane_order =
+  QCheck.Test.make ~count:300
+    ~name:"two-lane event queue pops in plain-heap (prio, seq) order; cuts agree"
+    QCheck.(triple small_nat bool (float_range 0.0 12.0))
+    (fun (seed, backwards, cutoff) ->
+      let q = Q.create ~capacity:1 () in
+      let lane =
+        drive ~seed ~backwards ~cutoff (Q.push q)
+          (fun () -> Q.top_prio q)
+          (fun () -> Q.pop q)
+          (fun () -> Q.is_empty q)
+      in
+      let h = Heap.create () in
+      let plain =
+        drive ~seed ~backwards ~cutoff (Heap.push h)
+          (fun () -> fst (Option.get (Heap.peek h)))
+          (fun () -> snd (Option.get (Heap.pop h)))
+          (fun () -> Heap.is_empty h)
+      in
+      (* after a reset the same script must pop the same way again *)
+      Q.reset q;
+      let again =
+        drive ~seed ~backwards ~cutoff (Q.push q)
+          (fun () -> Q.top_prio q)
+          (fun () -> Q.pop q)
+          (fun () -> Q.is_empty q)
+      in
+      lane = plain && again = plain)
+
+let test_event_queue_lane_counts () =
+  (* pushes at the current instant skip the heap; a push at [now] after
+     a heap entry at [now] still pops after it *)
+  let q = Q.create () in
+  Q.push q 0.0 1;
+  Q.push q 2.0 2;
+  Q.push q 2.0 3;
+  Alcotest.(check int) "lane first" 1 (Q.pop q);
+  Alcotest.(check int) "heap at 2.0" 2 (Q.pop q);
+  Q.push q 2.0 4;
+  Alcotest.(check (float 0.0)) "heap entry at now" 2.0 (Q.top_prio q);
+  Alcotest.(check int) "older heap entry before the lane" 3 (Q.pop q);
+  Alcotest.(check int) "then the lane" 4 (Q.pop q);
+  Alcotest.(check bool) "drained" true (Q.is_empty q);
+  Alcotest.(check (pair int int)) "lane/heap pops" (2, 2) (Q.lane_pops q, Q.heap_pops q)
 
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap pops in non-decreasing priority order"
@@ -128,4 +211,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_heap_sorts;
     QCheck_alcotest.to_alcotest prop_heap_length;
     QCheck_alcotest.to_alcotest prop_event_queue_matches_heap;
+    Alcotest.test_case "event queue lane counts" `Quick test_event_queue_lane_counts;
+    QCheck_alcotest.to_alcotest prop_event_queue_lane_order;
   ]

@@ -184,6 +184,17 @@ let test_spec_round_trip () =
       | Error _ -> ())
     [ "grid:4"; "grid:0x4"; "torus:1x4"; "fattree:3"; "ring:5"; "fattree:0:2"; "" ]
 
+let prop_of_spec_total =
+  QCheck.Test.make ~count:400 ~name:"Presets.of_spec returns Ok or Error and never raises"
+    (Gen.arbitrary_machine_spec ~valid:false)
+    (fun (spec, nodes) ->
+      match Presets.of_spec spec ~nodes with
+      | Ok m -> m.Machine.nodes >= 1 && (nodes = 1 || m.Machine.nodes = nodes)
+      | Error _ -> true
+      | exception e ->
+          QCheck.Test.fail_reportf "%S ~nodes:%d raised %s" spec nodes
+            (Printexc.to_string e))
+
 let test_machine_integration () =
   (* node-count agreement is validated by Machine.make; 4e9/2e-6 are
      the mesh-tile preset's link rates *)
@@ -505,6 +516,7 @@ let suite =
       test_custom_deterministic_tie_break;
     Alcotest.test_case "spec round-trip" `Quick test_spec_round_trip;
     Alcotest.test_case "machine integration" `Quick test_machine_integration;
+    QCheck_alcotest.to_alcotest prop_of_spec_total;
     Alcotest.test_case "routed copy cost" `Quick test_routed_copy_cost;
     Alcotest.test_case "routed DES: compiled = reference" `Quick
       test_routed_compile_identity;
