@@ -276,7 +276,7 @@ let search_cmd =
     Arg.(value & flag & info [ "batch" ] ~doc:"Evaluate each task's whole neighbour set as one batch (CD/CCD only): scratch setup and the incumbent rebind are amortized across the set and candidates past the first improvement are skipped. Without a surrogate (--no-surrogate) decisions are bit-identical to the sequential search. With the default surrogate, --batch also reranks each batch best-predicted-first, which changes the order candidates are tried in and so the search trajectory.")
   in
   let batch_min_arg =
-    Arg.(value & opt int Descent.default_min_batch & info [ "batch-min" ] ~docv:"N" ~doc:"Minimum candidate-set size for batched evaluation: smaller sets run through the sequential path, whose per-candidate overhead is lower than batch amortization can recover at that size (BENCH_searchrate.json). Decisions are identical either way; 1 always batches.")
+    Arg.(value & opt int Descent.default_min_batch & info [ "batch-min" ] ~docv:"N" ~doc:"Minimum candidate-set size for batched evaluation: smaller sets run through the sequential path, whose per-candidate overhead is lower than batch amortization can recover at that size. Decisions are identical either way; 1 always batches.")
   in
   let no_surrogate_arg =
     Arg.(value & flag & info [ "no-surrogate" ] ~doc:"Disable the online surrogate cost model (trained by default on every exact evaluation; with --batch it also reranks each candidate batch best-predicted-first).")

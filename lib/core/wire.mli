@@ -5,7 +5,7 @@
     oversized-payload guard, a compact printer that never emits a raw
     newline (so one line = one message), and typed request/response
     encodings shared by the server, the CLI client, tests and the
-    servrate bench.
+    serve-mix benchmark.
 
     Bit-exactness: result performance travels both as a decimal
     number (17 significant digits — lossless for binary64) and as a

@@ -61,6 +61,10 @@ type t = {
   topology : Topology.t option;
 }
 
+let check_finite name v =
+  if not (Float.is_finite v) then
+    invalid_arg (Printf.sprintf "Machine.make: %s must be finite" name)
+
 let check_positive name v =
   if v <= 0.0 then invalid_arg (Printf.sprintf "Machine.make: %s must be positive" name)
 
@@ -153,6 +157,33 @@ let make ~name ~nodes ~node ~exec_bw ~compute ~copy ?topology () =
         (Printf.sprintf "Machine.make: topology has %d nodes, machine has %d"
            (Topology.n_nodes topo) nodes)
   | _ -> ());
+  (* every rate, capacity and latency must be a number: NaN passes the
+     [<= 0.0] checks below, and the unchecked fields (latencies, and
+     the GPU rates of GPU-less nodes) would carry NaN or infinity into
+     the simulator's cost model *)
+  List.iter
+    (fun (n, v) -> check_finite n v)
+    [
+      ("sysmem_per_socket", node.sysmem_per_socket);
+      ("zc_capacity", node.zc_capacity);
+      ("fb_capacity", node.fb_capacity);
+      ("cpu_sys bandwidth", exec_bw.cpu_sys);
+      ("cpu_zc bandwidth", exec_bw.cpu_zc);
+      ("gpu_fb bandwidth", exec_bw.gpu_fb);
+      ("gpu_zc bandwidth", exec_bw.gpu_zc);
+      ("cpu_flops", compute.cpu_flops);
+      ("gpu_flops", compute.gpu_flops);
+      ("cpu_launch_overhead", compute.cpu_launch_overhead);
+      ("gpu_launch_overhead", compute.gpu_launch_overhead);
+      ("runtime_dispatch", compute.runtime_dispatch);
+      ("memcpy_bw", copy.memcpy_bw);
+      ("cross_socket_bw", copy.cross_socket_bw);
+      ("pcie_bw", copy.pcie_bw);
+      ("gpu_peer_bw", copy.gpu_peer_bw);
+      ("local_latency", copy.local_latency);
+      ("net_bandwidth", copy.net_bandwidth);
+      ("net_latency", copy.net_latency);
+    ];
   check_positive_int "sockets" node.sockets;
   (* cores_per_socket = 0 describes a headless (GPU-only) node: legal
      to construct — the feasibility analyzer is what flags its

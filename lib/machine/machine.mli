@@ -99,9 +99,10 @@ val make :
   ?topology:Topology.t ->
   unit ->
   t
-(** Builds the explicit graph.  Raises [Invalid_argument] if any count
-    or rate is non-positive, or if [topology] disagrees with [nodes]
-    on the node count. *)
+(** Builds the explicit graph.  Raises [Invalid_argument] if any float
+    field is NaN or infinite, if any count or rate the node's
+    processors use is non-positive, or if [topology] disagrees with
+    [nodes] on the node count. *)
 
 (** {1 Graph queries} *)
 

@@ -34,7 +34,7 @@ val to_string : Machine.t -> string
 
 val of_string : string -> (Machine.t, string) result
 (** Parses and validates (via {!Machine.make}); returns a descriptive
-    error on malformed input. *)
+    error on malformed input, including a NaN or infinite rate. *)
 
 val round_trip_exn : Machine.t -> Machine.t
 (** Test helper. *)

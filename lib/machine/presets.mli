@@ -46,7 +46,8 @@ val of_topology : Topology.t -> Machine.t
     processors cheaply; fat-trees get a testbed-like GPU leaf node;
     [direct:N] gets the Shepard node and rates, making it the
     degenerate routed twin of [shepard ~nodes:N] (decision- and
-    bit-identical searches — the toporate bench gate). *)
+    bit-identical searches — test_topology's degenerate-identity
+    gate). *)
 
 val of_spec : string -> nodes:int -> (Machine.t, string) result
 (** Resolve a machine spec: one of the legacy preset names ([shepard],

@@ -53,6 +53,8 @@ let side t n = t.side_arr.(n)
 let with_contention t on = if t.contended = on then t else { t with contended = on }
 
 let check_rates ~link_bw ~link_latency =
+  if not (Float.is_finite link_bw && Float.is_finite link_latency) then
+    invalid_arg "Topology: link rates must be finite";
   if link_bw <= 0.0 then invalid_arg "Topology: link_bw must be positive";
   if link_latency < 0.0 then invalid_arg "Topology: link_latency must be non-negative"
 
@@ -286,6 +288,8 @@ let custom ~name ~n_nodes ?n_vertices ~links:link_list () =
          (fun lid (lsrc, ldst, lbw, llat) ->
            if lsrc < 0 || lsrc >= n_vertices || ldst < 0 || ldst >= n_vertices then
              invalid_arg "Topology.custom: link endpoint out of range";
+           if not (Float.is_finite lbw && Float.is_finite llat) then
+             invalid_arg "Topology.custom: link rates must be finite";
            { lid; lsrc; ldst; lbw; llat })
          link_list)
   in

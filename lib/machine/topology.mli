@@ -71,7 +71,8 @@ val custom :
     smallest-link-id tie-break), so routes are deterministic.
     Disconnected node pairs are permitted at construction — the
     feasibility analyzer flags them; copies between them fall back to
-    the kind-level network channel. *)
+    the kind-level network channel.  Raises [Invalid_argument] on an
+    out-of-range endpoint or a non-finite rate. *)
 
 val with_contention : t -> bool -> t
 (** Same topology with link FIFO contention switched on/off.  An

@@ -310,9 +310,9 @@ let deliver t =
       t.consumed <- t.consumed + c
 
 (* ---- gated batch mode ---------------------------------------------------
-   BENCH_searchrate.json showed batching *losing* at smoke sizes
-   (geomean 0.981): the per-batch fixed costs (candidate rebuild,
-   verdict bookkeeping) only amortize past a minimum batch size.
+   Batching measured *losing* at smoke sizes (geomean 0.981): the
+   per-batch fixed costs (candidate rebuild, verdict bookkeeping) only
+   amortize past a minimum batch size.
    [next_gated] keeps the batch representation for rounds of at least
    [min_batch] candidates and falls back to the sequential drive for
    smaller ones.  Decision-identity is free: both representations are

@@ -69,9 +69,9 @@ val next_batch : t -> incumbent:Mapping.t -> Mapping.t array
 
 val default_min_batch : int
 (** Default minimum round size below which {!next_gated} prefers the
-    sequential drive — BENCH_searchrate.json showed sub-this-size
-    batches losing to sequential evaluation (geomean 0.981 at smoke
-    sizes), so batching only engages past the amortization point. *)
+    sequential drive — measured at smoke sizes, smaller batches lost to
+    sequential evaluation (geomean 0.981), so batching only engages
+    past the amortization point. *)
 
 val next_gated :
   t ->

@@ -253,8 +253,8 @@ val run :
     decides which improvement is taken first, so reranking changes the
     trajectory.  [surrogate_skim] additionally simulates only the top-K
     predictions of each ranked batch (implies [batch]); skimming can
-    change the search trajectory, so it is guarded by the never-worse
-    bench gate rather than an identity proof.  Resume note: the
+    change the search trajectory, so it is guarded by test_surrogate's
+    never-worse gate rather than an identity proof.  Resume note: the
     checkpoint decides — a snapshot with a surrogate section restores
     it (skim config must match), one without runs surrogate-free.
 

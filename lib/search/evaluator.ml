@@ -105,8 +105,6 @@ type stats = {
   s_cache_resident_bytes : int;
   s_delta_binds : int;
   s_full_binds : int;
-  s_bind_hits_shared : int;
-  s_bind_hits_private : int;
   s_cone_replays : int;
   s_cone_instances : int;
   s_full_replays : int;
@@ -133,7 +131,7 @@ let create ?(runs = 7) ?(noise_sigma = 0.03) ?(fallback = false) ?iterations
   let shared_compile = scratch <> None in
   let scratch =
     match scratch with
-    | Some sc -> sc  (* shared compiled problem, e.g. portfolio members *)
+    | Some sc -> sc  (* shared compiled problem, e.g. the serve compile cache *)
     | None -> Exec.scratch (Exec.compile machine graph)
   in
   Exec.set_incremental scratch incremental;
@@ -734,7 +732,6 @@ let dead_coord_skips t = t.dead_coord_skips
 let eval_time t = t.eval_time
 
 let stats t =
-  let hits_shared, hits_private = Exec.bind_cache_hits t.scratch in
   {
     s_suggested = t.suggested;
     s_evaluated = t.evaluated;
@@ -757,8 +754,6 @@ let stats t =
     s_cache_resident_bytes = t.cache_resident_bytes;
     s_delta_binds = Exec.delta_binds t.scratch;
     s_full_binds = Exec.full_binds t.scratch;
-    s_bind_hits_shared = hits_shared;
-    s_bind_hits_private = hits_private;
     s_cone_replays = Exec.cone_replays t.scratch;
     s_cone_instances = Exec.cone_instances t.scratch;
     s_full_replays = Exec.full_replays t.scratch;

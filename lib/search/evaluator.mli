@@ -28,7 +28,7 @@
     and every [evaluate] / [measure] / [profile_for] call reuses the
     compiled problem and one {!Exec.scratch} — candidate evaluation is
     the search's hot path.  A consequence: an evaluator must not be
-    shared across domains; give each domain its own (see {!Parallel}). *)
+    shared across domains; give each domain its own. *)
 
 type t
 
@@ -91,11 +91,11 @@ val create :
     noise/timeline caches hit across the whole search.
 
     [scratch] supplies a pre-built {!Exec.scratch} instead of compiling
-    a fresh one — {!Parallel} compiles the problem once and gives each
-    domain's portfolio members one shared scratch (members on a domain
-    run sequentially, so sharing is safe and lets bind/noise/timeline
-    caches hit across members).  The scratch must come from
-    [Exec.compile machine graph] for the same (machine, graph) pair. *)
+    a fresh one — the serve daemon's compile cache hands a cached
+    scratch to each new search of the same workload (searches on it run
+    one at a time, so its bind/noise/timeline caches hit across them).
+    The scratch must come from [Exec.compile machine graph] for the
+    same (machine, graph) pair. *)
 
 val machine : t -> Machine.t
 val graph : t -> Graph.t
@@ -279,10 +279,6 @@ type stats = {
   s_cache_resident_bytes : int;  (** server cache footprint, bytes *)
   s_delta_binds : int;  (** {!Exec.delta_binds} of the evaluator's scratch *)
   s_full_binds : int;   (** {!Exec.full_binds} of the evaluator's scratch *)
-  s_bind_hits_shared : int;
-      (** {!Exec.bind_cache_hits} shared-label hits (portfolio members
-          reusing a sibling's bind) *)
-  s_bind_hits_private : int;  (** {!Exec.bind_cache_hits} private hits *)
   s_cone_replays : int;   (** {!Exec.cone_replays} *)
   s_cone_instances : int; (** {!Exec.cone_instances} *)
   s_full_replays : int;   (** {!Exec.full_replays} *)

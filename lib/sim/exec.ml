@@ -86,8 +86,7 @@ let proc_resource_name (p : Machine.processor) =
 (*                                                                    *)
 (* Re-derives every piece of structure on each call.  Kept as the     *)
 (* golden semantics the compiled fast path below must reproduce       *)
-(* bit-for-bit (test/test_compile.ml), and as the baseline the        *)
-(* evalrate benchmark measures speedups against.                      *)
+(* bit-for-bit (test/test_compile.ml).                                *)
 (* ------------------------------------------------------------------ *)
 
 let run_reference ?(noise_sigma = 0.03) ?(seed = 0) ?(fallback = false) ?iterations ?trace
@@ -720,9 +719,9 @@ let n_acc = 5
 (* Both per-seed tables are keyed by noise seed; the evaluator's
    common-random-numbers protocol draws every run's seed from a fixed
    window of [runs] values, so a small cap never evicts in practice and
-   merely bounds memory for unusual callers.  (64 leaves room for a
-   whole portfolio of members sharing one scratch — 8 members x 8 CRN
-   seeds.) *)
+   merely bounds memory for unusual callers.  (64 leaves room for
+   several searches reusing one scratch in turn, as the serve daemon's
+   compile cache does — 8 searches x 8 CRN seeds.) *)
 let seed_table_cap = 64
 
 type scratch = {
@@ -780,11 +779,6 @@ type scratch = {
   (* bind-path counters for the pruning benches/tests *)
   mutable delta_binds : int;
   mutable full_binds : int;
-  (* bind-cache hits, split by whether this scratch is advertised as
-     shared between portfolio members (see {!set_shared}) *)
-  mutable shared_scratch : bool;
-  mutable bind_hits_shared : int;
-  mutable bind_hits_private : int;
   (* ---- incremental re-simulation state ---- *)
   mutable incremental : bool;                    (* master switch *)
   (* flat per-seed tables (struct-of-arrays).  A search touches a
@@ -1007,9 +1001,6 @@ let scratch prob =
     bound_placement = None;
     delta_binds = 0;
     full_binds = 0;
-    shared_scratch = false;
-    bind_hits_shared = 0;
-    bind_hits_private = 0;
     incremental = true;
     tl_seed = Array.make seed_table_cap 0;
     tls = [||];
@@ -1054,8 +1045,6 @@ let compiled_graph prob = prob.cgraph
 let compiled_words prob = Obj.reachable_words (Obj.repr prob)
 let slots_per_iteration prob = prob.spi
 
-let set_shared sc on = sc.shared_scratch <- on
-let bind_cache_hits sc = (sc.bind_hits_shared, sc.bind_hits_private)
 let bound_mapping sc = sc.bound_mapping
 
 let ensure_capacity sc n =
@@ -1440,10 +1429,7 @@ let patch_coord_limit = 32
    of the cached one — the hill-climbing common case. *)
 let resolve_bound sc ~fallback mapping =
   match (sc.bound_mapping, sc.bound_placement) with
-  | Some m, Some pl when m == mapping && sc.bound_fallback = fallback ->
-      if sc.shared_scratch then sc.bind_hits_shared <- sc.bind_hits_shared + 1
-      else sc.bind_hits_private <- sc.bind_hits_private + 1;
-      Ok pl
+  | Some m, Some pl when m == mapping && sc.bound_fallback = fallback -> Ok pl
   | cached -> (
       let prob = sc.prob in
       let delta =
@@ -1701,14 +1687,9 @@ let sim_core sc mapping ~noise_sigma ~seed ~fallback ~iterations ~trace ~cutoff 
   let prob = sc.prob in
   let bound_ok =
     (* same inline fast path as {!resolve_bound}, minus its [Ok]
-       allocation; the slow branch delegates (and the fast condition
-       failing here means it cannot re-fire there, so hits are counted
-       exactly once) *)
+       allocation; the slow branch delegates *)
     match sc.bound_mapping with
-    | Some m when m == mapping && sc.bound_fallback = fallback ->
-        if sc.shared_scratch then sc.bind_hits_shared <- sc.bind_hits_shared + 1
-        else sc.bind_hits_private <- sc.bind_hits_private + 1;
-        true
+    | Some m when m == mapping && sc.bound_fallback = fallback -> true
     | _ -> (
         match resolve_bound sc ~fallback mapping with
         | Ok _ -> true

@@ -289,20 +289,7 @@ val delta_binds : scratch -> int
 val full_binds : scratch -> int
 (** How many resolve+bind operations ran the full path.  Physical-
     equality cache hits (re-running the same mapping with a new noise
-    seed) are counted by neither counter — they show up in
-    {!bind_cache_hits} instead. *)
-
-val set_shared : scratch -> bool -> unit
-(** Mark this scratch as shared between several search strategies
-    (portfolio members on one domain).  Purely an accounting label: it
-    routes physical-equality bind-cache hits to the shared counter of
-    {!bind_cache_hits} so benches can attribute reuse across members
-    vs. within one member.  Default false. *)
-
-val bind_cache_hits : scratch -> int * int
-(** [(shared, private_)] physical-equality bind-cache hits — resolves
-    served without touching placement or the bind tables, split by the
-    {!set_shared} label at hit time. *)
+    seed) are counted by neither counter. *)
 
 val bound_mapping : scratch -> Mapping.t option
 (** The mapping of the currently cached bind, if any.  Batch evaluation
@@ -418,8 +405,7 @@ val run_reference :
   Mapping.t ->
   (result, error) Stdlib.result
 (** The original single-pass interpreter, kept as the golden semantics
-    {!simulate} must reproduce bit-for-bit, and as the baseline the
-    evalrate benchmark measures against.  Same behaviour as {!run},
+    {!simulate} must reproduce bit-for-bit.  Same behaviour as {!run},
     derived from scratch on every call. *)
 
 val profile :

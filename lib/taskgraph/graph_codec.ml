@@ -58,16 +58,22 @@ let split_fields _lineno tokens =
   in
   (pos, fields)
 
+(* [float_of_string] also accepts "nan" and "inf"; no field of a graph
+   file has a meaning for them, and a NaN slips past every [<= 0.0]
+   range check downstream, so they are refused here *)
+let parse_finite lineno key v =
+  match float_of_string_opt v with
+  | Some f when Float.is_finite f -> f
+  | Some _ -> fail "line %d: %s: %S is not a finite number" lineno key v
+  | None -> fail "line %d: %s: bad number %S" lineno key v
+
 let fget_float lineno fields key ~default =
   match List.assoc_opt key fields with
   | None -> (
       match default with
       | Some d -> d
       | None -> fail "line %d: missing field %s" lineno key)
-  | Some v -> (
-      match float_of_string_opt v with
-      | Some f -> f
-      | None -> fail "line %d: %s: bad number %S" lineno key v)
+  | Some v -> parse_finite lineno key v
 
 let fget_int lineno fields key =
   match List.assoc_opt key fields with
@@ -96,9 +102,10 @@ let parse_pattern lineno s =
   else
     match String.split_on_char ':' s with
     | [ "halo"; f ] -> (
-        match float_of_string_opt f with
-        | Some frac -> Pattern.halo ~frac
-        | None -> fail "line %d: bad halo fraction %S" lineno f)
+        let frac = parse_finite lineno "halo fraction" f in
+        match Pattern.halo ~frac with
+        | p -> p
+        | exception Invalid_argument e -> fail "line %d: %s" lineno e)
     | _ -> fail "line %d: bad pattern %S" lineno s
 
 let of_string s =
@@ -187,10 +194,7 @@ let of_string s =
               in
               let bytes =
                 match List.assoc_opt "bytes" fields with
-                | Some v -> (
-                    match float_of_string_opt v with
-                    | Some f -> Some f
-                    | None -> fail "line %d: bad bytes %S" lineno v)
+                | Some v -> Some (parse_finite lineno "bytes" v)
                 | None -> None
               in
               Graph.Builder.add_dep ?bytes ~pattern ~carried (b lineno)

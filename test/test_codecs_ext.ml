@@ -253,6 +253,122 @@ let test_graph_minimal_example () =
       Alcotest.(check int) "one carried" 1 (List.length carried)
   | Error e -> Alcotest.fail e
 
+(* Rewrite [key]'s value on every line whose first word is [stanza].
+   Fails the test when no token changed, so a renamed field cannot make
+   a case below pass vacuously. *)
+let set_field text ~stanza ~key value =
+  let prefix = key ^ "=" in
+  let changed = ref false in
+  let text =
+    String.split_on_char '\n' text
+    |> List.map (fun line ->
+           match String.split_on_char ' ' line with
+           | first :: rest when first = stanza ->
+               String.concat " "
+                 (first
+                 :: List.map
+                      (fun tok ->
+                        if String.starts_with ~prefix tok then begin
+                          changed := true;
+                          prefix ^ value
+                        end
+                        else tok)
+                      rest)
+           | _ -> line)
+    |> String.concat "\n"
+  in
+  if not !changed then Alcotest.failf "no %s field %s to rewrite" stanza key;
+  text
+
+let non_finite = [ "nan"; "inf"; "-inf" ]
+
+let test_machine_non_finite () =
+  (* every float field of a machine file: NaN passes a [<= 0.0] range
+     check, and the unchecked ones (latencies, GPU rates of GPU-less
+     nodes) used to decode into machines whose simulated makespans
+     disagreed with the reference interpreter *)
+  let fields =
+    [
+      ("node", [ "sysmem"; "zc"; "fb" ]);
+      ("exec_bw", [ "cpu_sys"; "cpu_zc"; "gpu_fb"; "gpu_zc" ]);
+      ("compute", [ "cpu_flops"; "gpu_flops"; "cpu_launch"; "gpu_launch"; "dispatch" ]);
+      ( "copy",
+        [ "memcpy"; "cross_socket"; "pcie"; "gpu_peer"; "local_latency"; "net_bw";
+          "net_latency" ] );
+    ]
+  in
+  let custom =
+    let base = Presets.shepard ~nodes:2 in
+    Machine.make ~name:"pair" ~nodes:2 ~node:base.Machine.node
+      ~exec_bw:base.Machine.exec_bw ~compute:base.Machine.compute ~copy:base.Machine.copy
+      ~topology:
+        (Topology.custom ~name:"pair" ~n_nodes:2
+           ~links:[ (0, 1, 2e9, 1e-6); (1, 0, 2e9, 1e-6) ]
+           ())
+      ()
+  in
+  let grid =
+    match Presets.of_spec "grid:2x2" ~nodes:1 with Ok m -> m | Error e -> Alcotest.fail e
+  in
+  let cases =
+    List.concat_map
+      (fun m ->
+        List.concat_map
+          (fun (stanza, keys) -> List.map (fun key -> (m, stanza, key)) keys)
+          fields)
+      [ Presets.shepard ~nodes:4; Presets.cpu_only ~nodes:2 ]
+    @ [
+        (grid, "topology", "bw");
+        (grid, "topology", "lat");
+        (custom, "topolink", "bw");
+        (custom, "topolink", "lat");
+      ]
+  in
+  List.iter
+    (fun ((m : Machine.t), stanza, key) ->
+      let text = Machine_codec.to_string m in
+      List.iter
+        (fun v ->
+          let name = Printf.sprintf "%s %s %s=%s" m.Machine.name stanza key v in
+          match Machine_codec.of_string (set_field text ~stanza ~key v) with
+          | Ok _ -> Alcotest.failf "%s decoded" name
+          | Error _ -> ()
+          | exception e -> Alcotest.failf "%s raised %s" name (Printexc.to_string e))
+        non_finite)
+    cases
+
+let test_graph_non_finite () =
+  let text =
+    "graph tiny iterations=2\n\
+     task a group=2 flops=1e6 cpu_eff=0.5 gpu_eff=0.5\n\
+     arg a out bytes=1e6 mode=RW\n\
+     task b group=2 flops=1e6\n\
+     arg b in bytes=1e6 mode=RW\n\
+     dep a out b in pattern=halo:0.25 bytes=2e5\n\
+     overlap a out b in bytes=5e5\n"
+  in
+  (match Graph_codec.of_string text with Ok _ -> () | Error e -> Alcotest.fail e);
+  List.iter
+    (fun (stanza, key, value) ->
+      List.iter
+        (fun v ->
+          let v = value v in
+          let name = Printf.sprintf "%s %s=%s" stanza key v in
+          match Graph_codec.of_string (set_field text ~stanza ~key v) with
+          | Ok _ -> Alcotest.failf "%s decoded" name
+          | Error _ -> ()
+          | exception e -> Alcotest.failf "%s raised %s" name (Printexc.to_string e))
+        non_finite)
+    [
+      ("task", "flops", Fun.id);
+      ("task", "cpu_eff", Fun.id);
+      ("task", "gpu_eff", Fun.id);
+      ("arg", "bytes", Fun.id);
+      ("dep", "bytes", Fun.id);
+      ("dep", "pattern", fun v -> "halo:" ^ v);
+      ("overlap", "bytes", Fun.id);
+    ]
+
 let suite =
   [
     Alcotest.test_case "machine round trip" `Quick test_machine_round_trip;
@@ -268,4 +384,7 @@ let suite =
     Alcotest.test_case "graph same simulation" `Quick test_graph_simulates_identically;
     Alcotest.test_case "graph parse errors" `Quick test_graph_parse_errors;
     Alcotest.test_case "graph minimal example" `Quick test_graph_minimal_example;
+    Alcotest.test_case "machine non-finite numbers refused" `Quick
+      test_machine_non_finite;
+    Alcotest.test_case "graph non-finite numbers refused" `Quick test_graph_non_finite;
   ]

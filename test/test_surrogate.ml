@@ -19,7 +19,7 @@
       than the exact batched CCD, on every app.  Reranking and
       skimming change the *trajectory* (a different neighbour may be
       accepted first), so this is an empirical quality gate, not an
-      identity — the bench (surrogaterate) holds the same line. *)
+      identity. *)
 
 let cases =
   [

@@ -320,7 +320,47 @@ let test_direct_degenerate_identity () =
           ("default", Mapping.default_start g m_legacy);
           ("all_cpu", Mapping.all_cpu g m_legacy);
         ])
-    App.all
+    App.all;
+  (* the same bijection lifted to a whole search: CCD on direct:4 must
+     take exactly shepard:4's decisions, down to the event-queue pops
+     and the bind paths of every candidate.  Each app has to evaluate
+     enough fresh candidates that the comparison is not vacuous. *)
+  let search machine g =
+    let ev = Evaluator.create ~runs:1 ~noise_sigma:0.0 ~seed:3 machine g in
+    let o =
+      Engine.run
+        ~budget:(Budget.make ~max_trials:200 ())
+        ~start:(Mapping.default_start g machine)
+        ev (Ccd.make ~rotations:2 ev)
+    in
+    (o, Evaluator.stats ev)
+  in
+  List.iter
+    (fun ((app : App.t), input) ->
+      let g = app.App.graph ~nodes:4 ~input in
+      let ol, sl = search m_legacy g and ot, st = search m_topo g in
+      let name what = Printf.sprintf "direct:4 search %s: %s" app.App.app_name what in
+      Alcotest.(check bool) (name "best mapping") true
+        (Mapping.equal ol.Engine.best ot.Engine.best);
+      Alcotest.(check string) (name "perf")
+        (Printf.sprintf "%h" ol.Engine.perf)
+        (Printf.sprintf "%h" ot.Engine.perf);
+      let count what f = Alcotest.(check int) (name what) (f sl) (f st) in
+      count "suggested" (fun s -> s.Evaluator.s_suggested);
+      count "evaluated" (fun s -> s.Evaluator.s_evaluated);
+      count "lane pops" (fun s -> s.Evaluator.s_lane_pops);
+      count "heap pops" (fun s -> s.Evaluator.s_heap_pops);
+      count "delta binds" (fun s -> s.Evaluator.s_delta_binds);
+      count "full binds" (fun s -> s.Evaluator.s_full_binds);
+      if sl.Evaluator.s_evaluated < 8 then
+        Alcotest.failf "%s evaluated only %d candidates (at least 8 required)"
+          app.App.app_name sl.Evaluator.s_evaluated)
+    [
+      (App.circuit, "n50w200");
+      (App.stencil, "500x500");
+      (App.pennant, "320x90");
+      (App.htr, "8x8y9z");
+    ]
 
 let test_contention_matters () =
   (* the same mapping on the same grid must get strictly slower once
